@@ -20,8 +20,9 @@ import numpy as np
 from .config import SimConfig, ceil_log2
 from .decomposition import Cluster
 from .engine import Accounting, BudgetViolation, ClusterChannel, RoundEngine, cluster_route
-from .graphs import CliqueInstance, Edge, Graph, cliques_with_node, enumerate_cliques, norm_edge
-from .sparse_listing import build_fanout_table
+from .graphs import CliqueInstance, Edge, Graph, cliques_with_node, norm_edge
+from .graphs import enumerate_cliques  # noqa: F401  (the benchmark trace wraps it)
+from .sparse_listing import build_fanout_table, local_listing
 
 HEAVY_IMPORT = "heavy-import"
 LIGHT_PROBE = "light-probe"
@@ -287,9 +288,12 @@ def cluster_list_kp(cluster: Cluster, new_ids: dict[int, int],
 
     Partitions all n graph nodes into ceil(k^(1/p)) random parts (owners
     choose for the nodes they simulate), assigns part tuples through new-ID
-    radix digits, routes each owned edge to the nodes whose tuples contain
-    its endpoint parts, and lists locally. Output covers every K_p of the
-    cluster's knowledge, in particular every K_p with a goal edge here.
+    radix digits, and routes each owned edge to the nodes whose tuples
+    contain its endpoint parts. The canonical holder of each sorted part
+    multiset then lists the cliques of that multiset from what it learned,
+    so each K_p is listed exactly once, by one cluster node. Output covers
+    every K_p of the cluster's knowledge, in particular every K_p with a
+    goal edge here.
     """
     n = g.n
     k = len(cluster.members)
@@ -344,13 +348,7 @@ def cluster_list_kp(cluster: Cluster, new_ids: dict[int, int],
                 accounting.record_violation(u, f"{phase}/deliver", budget,
                                             len(learned[u]), "receive-budget")
 
-    cliques: set[CliqueInstance] = set()
-    for u in sorted(cluster.members):
-        masks = [0] * n
-        for a, b in learned[u]:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        cliques |= enumerate_cliques(masks, p, n)
+    cliques = local_listing(table, assignment, lambda w: learned[by_new[w]])
     return cliques, {"partition-broadcast": bc_rounds, "deliver": dl_rounds}
 
 

@@ -10,21 +10,27 @@ p-tuples of parts through the base-num_parts digits of new_id - 1; because
 ceil() makes num_parts^p overshoot k, a node stands in for every tuple index
 congruent to its own modulo k, so all num_parts^p tuples stay covered. An
 edge travels to exactly the nodes whose tuple contains both endpoint parts
-(in two distinct digit positions), and each receiver lists the cliques it
-sees. Sparse inputs are padded with tagged fake edges that ride along for
-load purposes but are never listed.
+(in two distinct digit positions). Every sorted part multiset has one
+canonical holder, the first holder of the tuple whose digits are that
+multiset in order; it receives every edge among the multiset's parts and
+lists exactly the cliques with one node in each of its slots. Each K_p has
+one part multiset, so it is listed once, by one holder. Sparse inputs are
+padded with tagged fake edges that ride along for load purposes but are
+never listed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .config import SimConfig
 from .engine import Accounting, BudgetViolation, RoundEngine
-from .graphs import CliqueInstance, Edge, Graph, enumerate_cliques
+from .graphs import CliqueInstance, Edge, Graph, iter_bits
+from .graphs import enumerate_cliques  # noqa: F401  (the benchmark trace wraps it)
 
 
 @dataclass(frozen=True)
@@ -64,46 +70,60 @@ def tuple_assign(new_id: int, num_parts: int, p: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def covered_tuple_indices(new_id: int, k: int, num_parts: int, p: int) -> list[int]:
-    """All tuple indices node new_id stands in for (wrap-around coverage)."""
-    total = num_parts ** p
-    if total >= k:
-        return list(range(new_id - 1, total, k))
-    return [(new_id - 1) % total]
+def tuple_holders(total: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which of k holders stand in for which of `total` tuple indices, as
+    parallel arrays (tuple index, holder new ID). Tuples are dealt
+    round-robin: one holder each when total >= k, and every holder congruent
+    to t + 1 modulo total when total < k. Row t (for t < total) names tuple
+    t's first holder, its canonical one."""
+    row = np.arange(max(total, k))
+    return row % total, row % k + 1
+
+
+def _runs(keys: np.ndarray, values: list) -> dict:
+    """{key: tuple of its values} for parallel keys and values in which
+    equal keys are adjacent."""
+    cuts = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(values)]
+    firsts = keys[cuts[:-1]].tolist() if values else []
+    return {key: tuple(values[a:b]) for key, a, b in zip(firsts, cuts, cuts[1:])}
 
 
 @dataclass(frozen=True)
 class FanoutTable:
-    """Precomputed pair-of-parts -> receiving new IDs map for (b, p, k)."""
+    """Precomputed pair-of-parts -> receiving new IDs map for (b, p, k), and
+    the sorted part multisets each holder lists canonically."""
     num_parts: int
     p: int
     k: int
     by_pair: dict[tuple[int, int], tuple[int, ...]]
     pairs_by_node: dict[int, tuple[tuple[int, int], ...]]
+    owned: dict[int, tuple[tuple[int, ...], ...]]
 
 
 def build_fanout_table(num_parts: int, p: int, k: int) -> FanoutTable:
     total = num_parts ** p
-    by_pair: dict[tuple[int, int], set[int]] = {}
-    pairs_by_node: dict[int, set[tuple[int, int]]] = {w: set() for w in range(1, k + 1)}
-    for t in range(total):
-        digits = tuple_assign(t + 1, num_parts, p)
-        pairs = {
-            (min(digits[i], digits[j]), max(digits[i], digits[j]))
-            for i in range(p) for j in range(i + 1, p)
-        }
-        if total >= k:
-            owners = [t % k + 1]
-        else:
-            owners = list(range(t + 1, k + 1, total))
-        for pair in pairs:
-            by_pair.setdefault(pair, set()).update(owners)
-        for w in owners:
-            pairs_by_node[w] |= pairs
+    span = num_parts * num_parts
+    tup, holder = tuple_holders(total, k)
+    digits = tup[:, None] // num_parts ** np.arange(p) % num_parts
+    # the part pair of every two distinct digit positions, coded lo * b + hi
+    first, second = np.triu_indices(p, 1)
+    code = (np.minimum(digits[:, first], digits[:, second]) * num_parts
+            + np.maximum(digits[:, first], digits[:, second]))
+    # one link per distinct (holder, pair), sorted by holder, then by pair
+    links = np.unique(np.repeat(holder, len(first)) * span + code.ravel())
+    link_holder, link_code = np.divmod(links, span)
+    lo, hi = np.divmod(link_code, num_parts)
+    by_code = np.lexsort((link_holder, link_code))
+    receivers = _runs(link_code[by_code], link_holder[by_code].tolist())
+    # a tuple whose little-endian digits never decrease is a sorted multiset
+    canonical = np.flatnonzero(np.all(np.diff(digits[:total], axis=1) >= 0, axis=1))
+    canonical = canonical[np.argsort(holder[canonical], kind="stable")]
     return FanoutTable(
         num_parts, p, k,
-        {pair: tuple(sorted(ids)) for pair, ids in by_pair.items()},
-        {w: tuple(sorted(pairs)) for w, pairs in pairs_by_node.items()},
+        {divmod(c, num_parts): ids for c, ids in receivers.items()},
+        dict.fromkeys(range(1, k + 1), ())
+        | _runs(link_holder, list(zip(lo.tolist(), hi.tolist()))),
+        _runs(holder[canonical], [tuple(d) for d in digits[canonical].tolist()]),
     )
 
 
@@ -206,6 +226,59 @@ def sample_fake_edges(g: Graph, count: int, seed: int) -> list[Edge]:
 
 
 # ---------------------------------------------------------------------------
+# canonical-owner local listing
+# ---------------------------------------------------------------------------
+
+def holder_cliques(adj: list[int], part_masks: list[int],
+                   multisets: Iterable[tuple[int, ...]]) -> list[CliqueInstance]:
+    """The cliques one holder lists: for each sorted part multiset `slots`,
+    those with exactly one node per slot, the slot-i node taken from part
+    slots[i] and slots naming the same part taking increasing IDs.
+
+    Every clique of `adj` appears at most once: its part multiset and the
+    order of its nodes within each part fix its slots.
+    """
+    out: list[CliqueInstance] = []
+    chosen: list[int] = []
+
+    def rec(slots: tuple[int, ...], i: int, common: int, after: int):
+        cand = common & part_masks[slots[i]] & ~after
+        if i == len(slots) - 1:
+            out.extend(tuple(sorted(chosen + [v])) for v in iter_bits(cand))
+            return
+        same_next = slots[i + 1] == slots[i]
+        for v in iter_bits(cand):
+            chosen.append(v)
+            rec(slots, i + 1, common & adj[v], (2 << v) - 1 if same_next else 0)
+            chosen.pop()
+
+    for slots in multisets:
+        rec(slots, 0, -1, 0)
+    return out
+
+
+def local_listing(table: FanoutTable, assignment: Sequence[int],
+                  received: Callable[[int], Iterable[Edge]]) -> set[CliqueInstance]:
+    """Every holder that canonically owns a part multiset builds adjacency
+    masks from the edges it received and lists the cliques of its
+    multisets; the outputs are disjoint and their union covers every K_p
+    whose edges all reached their holders. Charged 0 rounds by the callers.
+    """
+    n = len(assignment)
+    part_masks = [0] * table.num_parts
+    for v, part in enumerate(assignment):
+        part_masks[part] |= 1 << v
+    cliques: set[CliqueInstance] = set()
+    for w, multisets in table.owned.items():
+        adj = [0] * n
+        for u, v in received(w):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        cliques.update(holder_cliques(adj, part_masks, multisets))
+    return cliques
+
+
+# ---------------------------------------------------------------------------
 # the congested-clique listing algorithm
 # ---------------------------------------------------------------------------
 
@@ -215,9 +288,10 @@ def cc_list_kp(g: Graph, p: int, seed: int,
 
     Every node owns its outgoing edges, pads the graph with tagged fake
     edges when too sparse, and ships each edge to the nodes whose part
-    tuples contain the edge's endpoint parts. The union of the per-node
-    outputs equals the brute-force listing; duplicates across nodes are
-    allowed and removed here.
+    tuples contain the edge's endpoint parts. The canonical holder of each
+    sorted part multiset then lists the cliques of that multiset from the
+    real edges it received, so every K_p is listed exactly once and the
+    disjoint union of the per-node outputs equals the brute-force listing.
     """
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p}")
@@ -297,16 +371,10 @@ def cc_list_kp(g: Graph, p: int, seed: int,
         acc.record_violation(node, "edge-delivery", budget, worst, "receive-budget")
         raise BudgetViolation(node, "edge-delivery", budget, worst, "receive-budget")
 
-    # Phase 3: local listing over received real edges (fake edges are
-    # tagged and never used).
-    cliques: set[CliqueInstance] = set()
-    for w in range(1, n + 1):
-        masks = [0] * n
-        for pk in table.pairs_by_node.get(w, ()):
-            for u, v in pair_groups_real.get(pk, ()):
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-        cliques |= enumerate_cliques(masks, p, n)
+    # Phase 3: canonical-owner local listing over received real edges (fake
+    # edges are tagged and never used).
+    cliques = local_listing(
+        table, partition.assignment,
+        lambda w: (e for pk in table.pairs_by_node[w] for e in pair_groups_real.get(pk, ())))
     engine.charge("local-listing", 0)
     return cliques, acc
-

@@ -33,11 +33,10 @@ from congestlist.graphs import (
 )
 from congestlist.pipeline import congest_list_k4, congest_list_kp
 from congestlist.sparse_listing import (
+    build_fanout_table,
     cc_list_kp,
     check_partition_balance,
-    covered_tuple_indices,
     random_partition,
-    tuple_assign,
 )
 
 CFG = SimConfig()
@@ -289,19 +288,24 @@ def test_criterion_5_partition_concentration():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_tuple_coverage():
+    # on the tables the algorithms route by: every sorted multiset of parts
+    # has exactly one canonical holder, and that holder receives every pair
+    # of parts the multiset's slots form
     checked = 0
     for p in range(2, 9):
         b = 1
         while b ** p <= 2 ** 16:
             total = b ** p
+            expected = list(itertools.combinations_with_replacement(range(b), p))
+            slot_pairs = list(itertools.combinations(range(p), 2))
             for k in {total, max(1, total - 7), total + 5}:
-                covered = set()
-                for w in range(1, k + 1):
-                    for t in covered_tuple_indices(w, k, b, p):
-                        covered.add(tuple(sorted(tuple_assign(t + 1, b, p))))
-                expected = {tuple(sorted(c))
-                            for c in itertools.product(range(b), repeat=p)}
-                assert covered == expected, (b, p, k)
+                table = build_fanout_table(b, p, k)
+                owned = sorted(ms for mss in table.owned.values() for ms in mss)
+                assert owned == expected, (b, p, k)
+                for w, mss in table.owned.items():
+                    held = set(table.pairs_by_node[w])
+                    assert all((ms[i], ms[j]) in held
+                               for ms in mss for i, j in slot_pairs), (b, p, k, w)
                 checked += 1
             b += 1
     announce(f"6 tuple-coverage ({checked} (num_parts, p, k) combos, 0 gaps)")

@@ -226,7 +226,7 @@ def _empty_learned():
 
 
 class TestClusterListKp:
-    def test_k6_cluster_lists_all_k4(self):
+    def test_k6_cluster_lists_all_k4(self, holder_output_sizes):
         g, _ = degeneracy_orient(complete(6))
         cluster = make_cluster(range(6))
         new_ids = assign_cluster_ids([cluster.members], n=6)[0]
@@ -235,8 +235,9 @@ class TestClusterListKp:
         cliques, _ = cluster_list_kp(cluster, new_ids, owned, 4, seed=0,
                                      cfg=SimConfig(), g=g)
         assert len(cliques) == 15
+        assert sum(holder_output_sizes) == 15   # each K_4 listed once
 
-    def test_goal_incident_cliques_covered_end_to_end(self):
+    def test_goal_incident_cliques_covered_end_to_end(self, holder_output_sizes):
         g, _ = degeneracy_orient(gnp(64, 0.3, 4))
         part = expander_decompose(g, 0.5)
         clusters = [c for c in part.clusters if len(c.members) >= 4]
@@ -254,9 +255,11 @@ class TestClusterListKp:
             know = knowledge_universe(cluster, g, learned)
             new_ids = assign_cluster_ids([cluster.members], n=g.n)[0]
             _, owned, _ = reshuffle(cluster, new_ids, know, g, SimConfig(), 1.0)
+            holder_output_sizes.clear()
             cliques, _ = cluster_list_kp(cluster, new_ids, owned, p, seed=9,
                                          cfg=SimConfig(), g=g)
             assert cliques <= oracle  # soundness: only real cliques
+            assert sum(holder_output_sizes) == len(cliques)   # each listed once
             must_list = {inst for inst in oracle
                          if any(e in goal for e in _clique_edges(inst))}
             missing = must_list - cliques

@@ -20,12 +20,12 @@ from congestlist.sparse_listing import (
     build_fanout_table,
     cc_list_kp,
     check_partition_balance,
-    covered_tuple_indices,
     delivery_fanout,
     fake_edge_target,
     random_partition,
     sample_fake_edges,
     tuple_assign,
+    tuple_holders,
 )
 
 
@@ -97,29 +97,46 @@ class TestTupleAssign:
         assert tuple_assign(2 ** 3 + 1, 2, 3) == tuple_assign(1, 2, 3)
 
 
+def slot_pairs(digits) -> set[tuple[int, int]]:
+    """The part pairs of every two distinct digit positions."""
+    return {(min(a, c), max(a, c)) for a, c in itertools.combinations(digits, 2)}
+
+
 class TestCoverage:
     def test_covered_indices_partition_all_tuples(self):
         for b, p, k in [(2, 3, 5), (3, 3, 20), (2, 4, 16), (3, 2, 7), (1, 3, 6)]:
             total = b ** p
-            cover = {}
-            for w in range(1, k + 1):
-                for t in covered_tuple_indices(w, k, b, p):
-                    cover.setdefault(t, []).append(w)
-            assert set(cover) == set(range(total))
+            tup, holder = tuple_holders(total, k)
+            links = list(zip(tup.tolist(), holder.tolist()))
+            assert len(set(links)) == len(links)
+            assert {t for t, _ in links} == set(range(total))
+            assert {w for _, w in links} == set(range(1, k + 1))
             if total >= k:
-                assert all(len(ws) == 1 for ws in cover.values())
+                assert len(links) == total   # one holder per tuple
+            # the fanout table routes by exactly these links
+            pairs_by_node = {w: set() for w in range(1, k + 1)}
+            for t, w in links:
+                pairs_by_node[w] |= slot_pairs(tuple_assign(t + 1, b, p))
+            by_pair = {}
+            for w, pairs in pairs_by_node.items():
+                for pair in pairs:
+                    by_pair.setdefault(pair, set()).add(w)
+            table = build_fanout_table(b, p, k)
+            assert {w: set(ps) for w, ps in table.pairs_by_node.items()} == pairs_by_node
+            assert {pair: set(ws) for pair, ws in table.by_pair.items()} == by_pair
 
     def test_every_multiset_covered(self):
-        # every p-multiset of parts appears as some covered tuple
+        # every sorted p-multiset of parts has exactly one canonical holder,
+        # and that holder receives every pair of the multiset
         for b, p in [(2, 4), (3, 3), (4, 2), (2, 6)]:
             for k in (max(1, b ** p - 3), b ** p, b ** p + 5):
                 table = build_fanout_table(b, p, k)
-                covered = set()
-                for w in range(1, k + 1):
-                    for t in covered_tuple_indices(w, k, b, p):
-                        covered.add(tuple(sorted(tuple_assign(t + 1, b, p))))
-                want = {tuple(sorted(c)) for c in itertools.product(range(b), repeat=p)}
-                assert covered == want
+                owned = [(ms, w) for w, mss in table.owned.items() for ms in mss]
+                want = sorted(itertools.combinations_with_replacement(range(b), p))
+                assert sorted(ms for ms, _ in owned) == want
+                for ms, w in owned:
+                    assert slot_pairs(ms) <= set(table.pairs_by_node[w])
+                    assert all(w in table.by_pair[pair] for pair in slot_pairs(ms))
 
 
 class TestDeliveryFanout:
@@ -231,11 +248,16 @@ class TestCcListKp:
         assert cliques == brute_force_list_kp(g, 5)
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
-    def test_oracle_equality(self, p):
-        for n, q, seed in [(16, 0.6, 1), (24, 0.4, 2), (32, 0.3, 3)]:
+    def test_oracle_equality(self, p, holder_output_sizes):
+        # every p has a case with num_parts^p > n, where tuple indices wrap;
+        # the densest graph has K_6s
+        for n, q, seed in [(16, 0.6, 1), (24, 0.4, 2), (32, 0.3, 3), (20, 0.8, 4)]:
             g = gnp(n, q, seed)
+            holder_output_sizes.clear()
             cliques, acc = cc_list_kp(g, p, seed=7)
-            assert cliques == brute_force_list_kp(g, p), (n, q, seed, p)
+            oracle = brute_force_list_kp(g, p)
+            assert cliques == oracle, (n, q, seed, p)
+            assert sum(holder_output_sizes) == len(oracle), (n, q, seed, p)  # listed once
             assert not acc.violations
 
     def test_fake_edges_never_listed(self):
