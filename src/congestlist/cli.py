@@ -169,13 +169,16 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
     eps0 = Fraction(settings["eps0"]) if settings.get("eps0") else None
     forced_depth = settings.get("forced_depth")
 
+    def contract_failure(exc: DecompositionError) -> tuple[dict, int]:
+        return {"schema": 1, "mode": mode, "error": str(exc),
+                "config": _config_echo(settings, cfg)}, EXIT_VERIFY_FAILED
+
     if mode == "decompose":
         delta = float(settings.get("delta"))
         try:
             part = expander_decompose(g, delta, cfg)
         except DecompositionError as exc:
-            return {"schema": 1, "mode": mode, "error": str(exc),
-                    "config": _config_echo(settings, cfg)}, EXIT_VERIFY_FAILED
+            return contract_failure(exc)
         report = verify_decomposition(g, part, cfg)
         out = {
             "schema": 1, "mode": mode, "n": g.n, "m": g.m,
@@ -217,16 +220,19 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
         }
         result_set = set(cliques)
     else:
-        if mode == "congest":
-            if p < 4:
-                raise ConfigError("congest mode needs --p >= 4 (use cc for K_3)")
-            report = congest_list_kp(g, p, seed, cfg, forced_depth=forced_depth,
-                                     eps0_fraction=eps0)
-        else:  # congest-k4
-            if p != 4:
-                raise ConfigError("congest-k4 mode fixes p = 4")
-            report = congest_list_k4(g, seed, cfg, forced_depth=forced_depth,
-                                     eps0_fraction=eps0)
+        if mode == "congest" and p < 4:
+            raise ConfigError("congest mode needs --p >= 4 (use cc for K_3)")
+        if mode == "congest-k4" and p != 4:
+            raise ConfigError("congest-k4 mode fixes p = 4")
+        try:
+            if mode == "congest":
+                report = congest_list_kp(g, p, seed, cfg, forced_depth=forced_depth,
+                                         eps0_fraction=eps0)
+            else:
+                report = congest_list_k4(g, seed, cfg, forced_depth=forced_depth,
+                                         eps0_fraction=eps0)
+        except DecompositionError as exc:
+            return contract_failure(exc)
         out = report.to_json()
         out["config"].update({k: settings.get(k) for k in ECHO_KEYS})
         result_set = report.clique_set()
@@ -349,7 +355,7 @@ def main(argv=None) -> int:
     emit_outputs(out, settings)
     if not settings.get("emit"):
         summary = {k: out[k] for k in ("mode", "n", "p", "clique_count",
-                                       "total_rounds") if k in out}
+                                       "total_rounds", "error") if k in out}
         print(json.dumps(summary, sort_keys=True))
     return code
 

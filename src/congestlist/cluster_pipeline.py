@@ -99,9 +99,6 @@ class ResponsibilityMap:
     new_ids: dict[int, int]      # cluster node -> new ID in [1..k]
     chunk: int
 
-    def simulated_by(self, cluster_node: int) -> list[int]:
-        return sorted(t for t, o in self.owner.items() if o == cluster_node)
-
 
 def boundary_map(members: frozenset[int], g: Graph) -> dict[int, list[int]]:
     """Outside neighbor -> its (sorted) neighbors inside the cluster."""

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .config import SimConfig, polylog
 from .engine import Accounting
@@ -161,44 +159,70 @@ def exact_conductance(nodes: Sequence[int], adj: dict[int, set[int]]) -> float:
     return 0.0 if best is math.inf else best
 
 
-def _normalized_laplacian(nodes: Sequence[int], adj: dict[int, set[int]]):
-    nodes = sorted(nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    k = len(nodes)
-    rows, cols = [], []
-    for v in nodes:
-        for w in adj[v]:
-            rows.append(idx[v])
-            cols.append(idx[w])
-    data = np.ones(len(rows))
-    A = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(k, k))
-    deg = np.asarray(A.sum(axis=1)).ravel()
-    dinv = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
+def _adjacency(order: list[int], adj: dict[int, set[int]]):
+    """(row, column) index arrays of the adjacency among ``order``, and
+    D^{-1/2} (isolated nodes get a huge finite entry, never a division by 0)."""
+    idx = {v: i for i, v in enumerate(order)}
+    deg = np.array([len(adj[v]) for v in order], dtype=np.intp)
+    rows = np.repeat(np.arange(len(order)), deg)
+    cols = np.array([idx[w] for v in order for w in adj[v]], dtype=np.intp)
+    return rows, cols, 1.0 / np.sqrt(np.maximum(deg, 1e-12))
+
+
+def _dense_normalized_laplacian(order: list[int],
+                                adj: dict[int, set[int]]) -> np.ndarray:
+    """I - D^{-1/2} A D^{-1/2} as a dense array, built with numpy alone.
+
+    Bit for bit the sparse builder's matrix: each edge entry is
+    (dinv[i] * 1.0) * dinv[j] subtracted from an exact 0, every other
+    off-diagonal entry is +0.0, and the diagonal is exactly 1.
+    """
+    k = len(order)
+    rows, cols, dinv = _adjacency(order, adj)
+    A = np.zeros((k, k))
+    A[rows, cols] = 1.0
+    return np.eye(k) - dinv[:, None] * A * dinv[None, :]
+
+
+def _sparse_normalized_laplacian(order: list[int], adj: dict[int, set[int]]):
+    """The same matrix in CSR form, so that large components never hold a
+    dense k x k array. Imports scipy on first use."""
+    import scipy.sparse
+
+    k = len(order)
+    rows, cols, dinv = _adjacency(order, adj)
+    A = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(k, k))
     Dinv = scipy.sparse.diags(dinv)
-    L = scipy.sparse.eye(k) - Dinv @ A @ Dinv
-    return L, np.array(nodes), deg
+    return scipy.sparse.eye(k) - Dinv @ A @ Dinv
 
 
 def spectral_gap(nodes: Sequence[int], adj: dict[int, set[int]],
                  dense_limit: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """(lambda_2 of the normalized Laplacian, Fiedler vector, node order)."""
-    L, order, _deg = _normalized_laplacian(nodes, adj)
-    k = L.shape[0]
-    edge_count = int(L.nnz - k) // 2
+    """(lambda_2 of the normalized Laplacian, Fiedler vector, node order).
+
+    Components of at most ``dense_limit`` edges (or fewer than 5 nodes) are
+    solved densely with numpy; only larger ones load scipy for Lanczos.
+    """
+    order = sorted(nodes)
+    k = len(order)
+    edge_count = sum(len(adj[v]) for v in order) // 2
     if edge_count <= dense_limit or k < 5:
-        vals, vecs = np.linalg.eigh(L.toarray())
+        vals, vecs = np.linalg.eigh(_dense_normalized_laplacian(order, adj))
         lam2 = float(vals[1]) if k >= 2 else 0.0
         fiedler = vecs[:, 1] if k >= 2 else np.zeros(k)
     else:
+        import scipy.sparse
+        import scipy.sparse.linalg
+
         # Lanczos on 2I - L (largest end is numerically robust); v0 fixed for
         # determinism.
-        shifted = 2.0 * scipy.sparse.eye(k) - L
+        shifted = 2.0 * scipy.sparse.eye(k) - _sparse_normalized_laplacian(order, adj)
         v0 = np.full(k, 1.0 / math.sqrt(k))
         vals, vecs = scipy.sparse.linalg.eigsh(shifted, k=2, which="LA", v0=v0)
         orderv = np.argsort(-vals)
         lam2 = float(2.0 - vals[orderv[1]])
         fiedler = vecs[:, orderv[1]]
-    return max(0.0, lam2), fiedler, order
+    return max(0.0, lam2), fiedler, np.array(order)
 
 
 def conductance_certificate(nodes: Sequence[int], adj: dict[int, set[int]],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -281,11 +281,6 @@ def edge_subgraph(g: Graph, keep: Callable[[Edge], bool]) -> Graph:
     return Graph(g.n, edges, orientation)
 
 
-def subgraph_from_edges(n: int, edges: Iterable[Edge],
-                        orientation: Mapping[Edge, int] | None = None) -> Graph:
-    return Graph(n, frozenset(edges), dict(orientation) if orientation else None)
-
-
 # ---------------------------------------------------------------------------
 # edge-list I/O: header "n m", one "u v [tail]" line per edge
 # ---------------------------------------------------------------------------
@@ -301,6 +296,9 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 
 def read_edge_list(path: str) -> Graph:
+    """Read the edge-list format; a malformed line, a self-loop, a node ID
+    outside 0..n-1, a foreign tail or a repeated edge raises ValueError
+    naming the file and line."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -308,17 +306,30 @@ def read_edge_list(path: str) -> Graph:
         n, m = int(header[0]), int(header[1])
         edges = set()
         orientation: dict[Edge, int] = {}
-        oriented = False
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
                 continue
-            u, v = int(fields[0]), int(fields[1])
+            where = f"{path}, line {lineno}"
+            if len(fields) not in (2, 3):
+                raise ValueError(f"{where}: expected 'u v [tail]', got {line.strip()!r}")
+            try:
+                u, v, *tail = map(int, fields)
+            except ValueError:
+                raise ValueError(f"{where}: node IDs must be integers, "
+                                 f"got {line.strip()!r}") from None
+            if u == v:
+                raise ValueError(f"{where}: self-loop at node {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"{where}: edge ({u},{v}) has a node ID outside 0..{n - 1}")
             e = norm_edge(u, v)
+            if e in edges:
+                raise ValueError(f"{where}: duplicate edge ({u},{v})")
             edges.add(e)
-            if len(fields) >= 3:
-                orientation[e] = int(fields[2])
-                oriented = True
+            if tail:
+                if tail[0] not in e:
+                    raise ValueError(f"{where}: tail {tail[0]} is not an endpoint of {e}")
+                orientation[e] = tail[0]
     if len(edges) != m:
         raise ValueError(f"{path}: header claims {m} edges, found {len(edges)}")
-    return Graph(n, frozenset(edges), orientation if oriented else None)
+    return Graph(n, frozenset(edges), orientation or None)

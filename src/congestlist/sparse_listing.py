@@ -96,6 +96,8 @@ class FanoutTable:
     p: int
     k: int
     by_pair: dict[tuple[int, int], tuple[int, ...]]
+    # the part pairs each canonical holder (a key of `owned`) receives; the
+    # other holders only relay, so nothing reads theirs
     pairs_by_node: dict[int, tuple[tuple[int, int], ...]]
     owned: dict[int, tuple[tuple[int, ...], ...]]
 
@@ -112,17 +114,17 @@ def build_fanout_table(num_parts: int, p: int, k: int) -> FanoutTable:
     # one link per distinct (holder, pair), sorted by holder, then by pair
     links = np.unique(np.repeat(holder, len(first)) * span + code.ravel())
     link_holder, link_code = np.divmod(links, span)
-    lo, hi = np.divmod(link_code, num_parts)
     by_code = np.lexsort((link_holder, link_code))
     receivers = _runs(link_code[by_code], link_holder[by_code].tolist())
     # a tuple whose little-endian digits never decrease is a sorted multiset
     canonical = np.flatnonzero(np.all(np.diff(digits[:total], axis=1) >= 0, axis=1))
     canonical = canonical[np.argsort(holder[canonical], kind="stable")]
+    owner_links = np.isin(link_holder, holder[canonical])
+    lo, hi = np.divmod(link_code[owner_links], num_parts)
     return FanoutTable(
         num_parts, p, k,
         {divmod(c, num_parts): ids for c, ids in receivers.items()},
-        dict.fromkeys(range(1, k + 1), ())
-        | _runs(link_holder, list(zip(lo.tolist(), hi.tolist()))),
+        _runs(link_holder[owner_links], list(zip(lo.tolist(), hi.tolist()))),
         _runs(holder[canonical], [tuple(d) for d in digits[canonical].tolist()]),
     )
 

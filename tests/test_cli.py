@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import congestlist
 from congestlist.cli import (
     EXIT_BUDGET_VIOLATION,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     bench,
     cc_list_main,
     main,
@@ -73,6 +79,27 @@ class TestExitCodes:
         data = json.loads(emit.read_text())
         assert data["verification"]["ok"] is True
         assert data["partition"]["labels"]
+
+    def test_congest_decomposition_failure_is_a_report(self, tmp_path):
+        # phi_min=0.9 makes the forced decomposition overflow its remainder
+        # budget; the run must end in a report, not a traceback
+        argv = ["--mode", "congest", "--forced-depth", "2", "--eps0", "1/2",
+                "--factor", "phi_min=0.9", "--p", "4", "--gen", "gnp:64:0.3:5"]
+        src = str(Path(congestlist.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "congestlist.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_VERIFY_FAILED
+        assert "Traceback" not in proc.stderr
+        assert "remainder overflow" in json.loads(proc.stdout)["error"]
+        for mode in ("congest", "congest-k4"):
+            emit = tmp_path / f"{mode}.json"
+            argv[1] = mode
+            assert main(argv + ["--emit", str(emit)]) == EXIT_VERIFY_FAILED
+            data = json.loads(emit.read_text())
+            assert data["mode"] == mode and "remainder overflow" in data["error"]
+            assert data["config"]["phi_min"] == 0.9
 
     def test_verify_mode_oracle_run(self, capsys):
         assert main(["--mode", "verify", "--p", "4",

@@ -1,10 +1,17 @@
 import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congestlist import decomposition
 from congestlist.config import SimConfig
 from congestlist.decomposition import (
     M,
@@ -19,7 +26,7 @@ from congestlist.decomposition import (
     verify_decomposition,
 )
 from congestlist.engine import Accounting
-from congestlist.graphs import Graph, complete, empty, gnp, norm_edge
+from congestlist.graphs import Graph, complete, empty, gnp, norm_edge, planted
 
 
 def two_cliques_with_bridge(k=16):
@@ -34,6 +41,21 @@ def two_cliques_with_bridge(k=16):
 
 def adj_of(g: Graph) -> dict[int, set[int]]:
     return {v: set(g.neighbors(v)) for v in range(g.n)}
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The size of every matrix handed to scipy's Lanczos solver while the
+    test runs."""
+    calls: list[int] = []
+    original = scipy.sparse.linalg.eigsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    return calls
 
 
 class TestConstruction:
@@ -207,10 +229,21 @@ class TestConductance:
         sub = {v: adj[v] & set(comp) for v in comp}
         assert abs(exact_conductance(comp, sub) - naive_conductance(comp, sub)) < 1e-12
 
-    def test_spectral_gap_on_large_clique_uses_sparse_path(self):
+    def test_spectral_gap_on_large_clique_uses_sparse_path(self, eigsh_calls):
         g = complete(200)  # 19900 edges > 2^14
         lam2, _, _ = spectral_gap(range(200), adj_of(g), dense_limit=2 ** 14)
         assert abs(lam2 - 200.0 / 199.0) < 1e-6
+        assert eigsh_calls == [200]
+
+    def test_dense_limit_counts_edges(self, eigsh_calls):
+        # at most dense_limit edges stays dense; one edge more takes Lanczos
+        for n, q, seed in [(5, 0.8, 1), (12, 0.4, 2), (30, 0.2, 3)]:
+            g = gnp(n, q, seed)
+            spectral_gap(range(n), adj_of(g), dense_limit=g.m)
+            assert eigsh_calls == []
+            spectral_gap(range(n), adj_of(g), dense_limit=g.m - 1)
+            assert eigsh_calls == [n]
+            eigsh_calls.clear()
 
     @given(st.integers(4, 10), st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
@@ -231,6 +264,69 @@ class TestConductance:
         phi = exact_conductance(comp, sub)
         assert lam2 / 2.0 <= phi + 1e-9
         assert phi <= math.sqrt(2.0 * lam2) + 1e-9
+
+
+def laplacian_graphs():
+    """Small G(n, q) (k < 5, isolated nodes, the empty graph) and planted
+    cliques over a faint background."""
+    gnps = st.builds(gnp, st.integers(0, 24), st.floats(0.0, 1.0),
+                     st.integers(0, 10 ** 6))
+    planteds = st.builds(lambda seed: planted(40, 6, 3, 0.03, seed),
+                         st.integers(0, 10 ** 6))
+    return st.one_of(gnps, planteds)
+
+
+class TestNormalizedLaplacian:
+    @given(laplacian_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_matrix_is_the_scipy_matrix_bit_for_bit(self, g):
+        adj = adj_of(g)
+        order = list(range(g.n))
+        dense = decomposition._dense_normalized_laplacian(order, adj)
+        sparse = decomposition._sparse_normalized_laplacian(order, adj)
+        ref = sparse.toarray()
+        assert dense.shape == ref.shape == (g.n, g.n)
+        assert np.array_equal(dense, ref)
+        assert np.array_equal(np.signbit(dense), np.signbit(ref))
+        # the dense/Lanczos switch counts edges from adj, as nnz used to
+        assert (sparse.nnz - g.n) // 2 == g.m
+
+    def test_isolated_nodes_keep_a_unit_diagonal(self):
+        g = Graph(6, frozenset({(0, 1), (1, 2)}))
+        L = decomposition._dense_normalized_laplacian(list(range(6)), adj_of(g))
+        assert np.array_equal(np.diag(L), np.ones(6))
+        assert not np.signbit(L[3:, :]).any()
+
+
+def test_listing_runs_never_load_scipy_sparse():
+    # a fresh interpreter: importing the package, a cc run, a default
+    # CONGEST run and a small forced-depth run (whose decomposition solves
+    # every component densely) leave scipy.sparse unloaded
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        import congestlist, congestlist.cli
+        from congestlist import decomposition
+        from congestlist.graphs import gnp
+        from congestlist.pipeline import congest_list_kp
+        from congestlist.sparse_listing import cc_list_kp
+
+        calls = []
+        original = decomposition.spectral_gap
+        decomposition.spectral_gap = lambda *a: calls.append(1) or original(*a)
+        g = gnp(48, 0.35, 4)
+        cc_list_kp(g, 4, seed=1)
+        congest_list_kp(g, 4, seed=7)
+        report = congest_list_kp(g, 4, seed=7, forced_depth=2,
+                                 eps0_fraction=Fraction(1, 2))
+        assert report.schedule and calls, "the forced run did not decompose"
+        print("scipy.sparse" in sys.modules)
+    """)
+    src = str(Path(decomposition.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+                           + script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSerialization:

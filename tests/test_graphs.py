@@ -197,6 +197,22 @@ class TestIO:
         with pytest.raises(ValueError):
             read_edge_list(str(path))
 
+    @pytest.mark.parametrize("text, line, what", [
+        ("3 3\n0 1\n1 2\n2 1\n", 4, "duplicate edge"),
+        ("3 2\n0 1\n\n2 2\n", 4, "self-loop"),
+        ("3 2\n0 1\n1 3\n", 3, "outside 0..2"),
+        ("3 2\n0 1\n1\n", 3, "expected 'u v [tail]'"),
+        ("3 2\n0 1\n1 x\n", 3, "must be integers"),
+        ("3 2\n0 1 1\n1 2 0\n", 3, "tail 0 is not an endpoint"),
+    ])
+    def test_bad_edge_line_names_file_and_line(self, tmp_path, text, line, what):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_edge_list(str(path))
+        assert f"{path}, line {line}:" in str(info.value)
+        assert what in str(info.value)
+
 
 class TestGraphInvariants:
     def test_rejects_self_loop(self):

@@ -122,7 +122,10 @@ class TestCoverage:
                 for pair in pairs:
                     by_pair.setdefault(pair, set()).add(w)
             table = build_fanout_table(b, p, k)
-            assert {w: set(ps) for w, ps in table.pairs_by_node.items()} == pairs_by_node
+            # only canonical holders list, so only they carry pairs_by_node
+            assert set(table.pairs_by_node) == set(table.owned)
+            assert {w: set(ps) for w, ps in table.pairs_by_node.items()} \
+                == {w: pairs_by_node[w] for w in table.owned}
             assert {pair: set(ws) for pair, ws in table.by_pair.items()} == by_pair
 
     def test_every_multiset_covered(self):
