@@ -36,7 +36,6 @@ from .sparse_listing import (
     NodePartition,
     cc_list_kp,
     check_partition_balance,
-    delivery_fanout,
     random_partition,
     tuple_assign,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "congest_list_k4",
     "congest_list_kp",
     "degeneracy_orient",
-    "delivery_fanout",
     "edge_subgraph",
     "empty",
     "expander_decompose",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -196,6 +196,43 @@ def cliques_with_node(adj: list[int], n: int, p: int, v: int) -> set[CliqueInsta
             prefix.pop()
 
     rec([v], adj[v], 1)
+    return out
+
+
+def rooted_cliques(adj: Sequence[int], p: int, v: int) -> list[CliqueInstance]:
+    """The p-cliques whose smallest member is v (p >= 2), each once, as
+    increasing tuples, in the graph given by adjacency masks.
+
+    The candidates start as the neighbours of v above v. Taking the lowest
+    candidate w drops it and every bit below it, and the next level keeps
+    only cand & adj[w], so each clique is reached along one increasing path.
+    At depth p - 1 every remaining candidate closes one clique, emitted
+    without a further call. Only adj[v] and the masks of v's neighbours are
+    read, and of those only the bits of other neighbours of v.
+    """
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+    out: list[CliqueInstance] = []
+    last = p - 1
+
+    def rec(prefix: CliqueInstance, cand: int, depth: int):
+        if depth == last:
+            while cand:
+                low = cand & -cand
+                out.append((*prefix, low.bit_length() - 1))
+                cand ^= low
+            return
+        # nodes the level below must still find after the one taken here
+        need = last - depth
+        while cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            cand ^= low
+            nxt = cand & adj[w]
+            if nxt.bit_count() >= need:
+                rec((*prefix, w), nxt, depth + 1)
+
+    rec((v,), adj[v] >> (v + 1) << (v + 1), 1)
     return out
 
 

@@ -37,9 +37,11 @@ from .graphs import (
     CliqueInstance,
     Edge,
     Graph,
-    cliques_with_node,
     degeneracy_orient,
+    iter_bits,
+    rooted_cliques,
 )
+from .graphs import cliques_with_node  # noqa: F401  (the benchmark trace wraps it)
 
 # ---------------------------------------------------------------------------
 # exact exponent arithmetic
@@ -383,30 +385,34 @@ def _flood_and_list(engine: RoundEngine, edges: set[Edge],
                     orient: dict[Edge, int], p: int, phase: str,
                     ) -> tuple[set[CliqueInstance], int]:
     """Every node floods its outgoing edges to all current neighbors, then
-    lists the cliques through itself in its local view."""
+    lists the cliques whose smallest member it is.
+
+    Node v searches candidates among its neighbours above v
+    (`rooted_cliques`), so it reads only its own edges and edges between two
+    of its neighbours. The tail of such an edge is a neighbour of v, which
+    floods the edge to v; listing from one shared mask table of the flooded
+    edges therefore equals listing from each node's own flood view. That
+    holds under any `orient`, acyclic or not, which matters because
+    forced-depth runs rewrite it with the decomposition's S orientation
+    before the terminal broadcast. Owners follow node IDs, not the
+    orientation: each K_p has one smallest member, so it is listed exactly
+    once.
+    """
     n = engine.n
-    out_edges: dict[int, list[Edge]] = defaultdict(list)
-    adj: dict[int, set[int]] = defaultdict(set)
+    masks = [0] * n
+    out_degree: dict[int, int] = defaultdict(int)
     for e in edges:
-        out_edges[orient.get(e, e[0])].append(e)
-        adj[e[0]].add(e[1])
-        adj[e[1]].add(e[0])
-    counts = {}
-    for u, oe in out_edges.items():
-        for w in adj[u]:
-            counts[(u, w)] = len(oe)
+        a, b = e
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+        out_degree[orient.get(e, a)] += 1
+    counts = {(u, w): sent for u, sent in out_degree.items()
+              for w in iter_bits(masks[u])}
     rounds = engine.phase_transfer_counts(phase, counts)
     cliques: set[CliqueInstance] = set()
-    for v in sorted(adj):
-        masks = [0] * n
-        for x in adj[v]:
-            masks[v] |= 1 << x
-            masks[x] |= 1 << v
-        for u in adj[v]:
-            for a, b in out_edges.get(u, ()):
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-        cliques |= cliques_with_node(masks, n, p, v)
+    for v in range(n):
+        if masks[v]:
+            cliques.update(rooted_cliques(masks, p, v))
     return cliques, rounds
 
 

@@ -129,21 +129,6 @@ def build_fanout_table(num_parts: int, p: int, k: int) -> FanoutTable:
     )
 
 
-def delivery_fanout(edge: Edge, partition: NodePartition, num_parts: int, p: int,
-                    k: int | None = None,
-                    table: FanoutTable | None = None) -> set[int]:
-    """New IDs that must receive this edge: every node standing in for a
-    tuple that contains both endpoint parts in distinct digit positions."""
-    if num_parts != partition.num_parts:
-        raise ValueError("num_parts disagrees with the partition")
-    k = len(partition.assignment) if k is None else k
-    if table is None:
-        table = build_fanout_table(num_parts, p, k)
-    a = partition.part_of(edge[0])
-    b = partition.part_of(edge[1])
-    return set(table.by_pair.get((min(a, b), max(a, b)), ()))
-
-
 # ---------------------------------------------------------------------------
 # random-partition concentration check
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from congestlist.graphs import (
     planted,
     planted_cliques,
     read_edge_list,
+    rooted_cliques,
     write_edge_list,
 )
 
@@ -147,6 +148,18 @@ class TestBruteForce:
         for inst in got:
             assert list(inst) == sorted(set(inst))
             assert is_clique(g, inst)
+
+
+class TestRootedCliques:
+    def test_k5_roots(self):
+        # node v is the smallest member of C(4 - v, 3) of the five K_4
+        adj = complete(5).adj_masks
+        assert [len(rooted_cliques(adj, 4, v)) for v in range(5)] == [4, 1, 0, 0, 0]
+        assert rooted_cliques(adj, 4, 1) == [(1, 2, 3, 4)]
+
+    def test_rejects_small_p(self):
+        with pytest.raises(ValueError):
+            rooted_cliques(complete(4).adj_masks, 1, 0)
 
 
 class TestEdgeSubgraph:

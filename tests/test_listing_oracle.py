@@ -1,23 +1,23 @@
 """networkx as a second, independent oracle: for the slot-restricted
-listing that every canonical holder runs, and for brute_force_list_kp."""
+listing that every canonical holder runs, for the rooted listing that every
+node runs after the CONGEST flood, and for brute_force_list_kp."""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from congestlist.graphs import Graph, brute_force_list_kp
+from congestlist.graphs import Graph, brute_force_list_kp, iter_bits, rooted_cliques
 from congestlist.sparse_listing import holder_cliques
 
 nx = pytest.importorskip("networkx")
 
 
 @st.composite
-def partitioned_graphs(draw):
-    """A clique size 2 <= p <= 6, a graph on at most 12 nodes holding a
-    planted clique of at least min(n, p) nodes, and its nodes split into
-    1-5 parts, some possibly empty."""
+def planted_graphs(draw):
+    """A clique size 2 <= p <= 6 and a graph on at most 12 nodes holding a
+    planted clique of at least min(n, p) nodes."""
     p = draw(st.integers(2, 6))
     n = draw(st.integers(0, 12))
     planted = draw(st.sets(st.integers(0, max(0, n - 1)), min_size=min(n, p), max_size=n))
@@ -25,6 +25,15 @@ def partitioned_graphs(draw):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = Graph(n, frozenset(e for e, kept in zip(pairs, keep)
                            if kept or set(e) <= planted))
+    return g, p
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A planted graph and its nodes split into 1-5 parts, some possibly
+    empty."""
+    g, p = draw(planted_graphs())
+    n = g.n
     num_parts = draw(st.integers(1, 5))
     assignment = draw(st.lists(st.integers(0, num_parts - 1), min_size=n, max_size=n))
     return g, num_parts, assignment, p
@@ -74,3 +83,31 @@ def test_all_multisets_list_every_clique_once(case):
     assert set(got) == want
     if p >= 3:
         assert brute_force_list_kp(g, p) == want
+
+
+def neighbourhood_view(adj: list[int], v: int) -> list[int]:
+    """The masks node v can see after the flood: its own edges, and the edges
+    between two of its neighbours; every other bit is cleared."""
+    closed = adj[v] | 1 << v
+    view = [0] * len(adj)
+    for x in iter_bits(closed):
+        view[x] = adj[x] & closed
+    return view
+
+
+@given(planted_graphs())
+@example((Graph(0, frozenset()), 4))
+@example((Graph(6, frozenset()), 2))
+@example((Graph(9, frozenset({(1, 4), (1, 7), (4, 7), (2, 3)})), 3))
+@settings(max_examples=150, deadline=None)
+def test_rooted_listing_matches_networkx(case):
+    g, p = case
+    got = []
+    for v in range(g.n):
+        rooted = rooted_cliques(g.adj_masks, p, v)
+        assert all(c[0] == v and list(c) == sorted(set(c)) for c in rooted)
+        # v's own flood view is enough to list them
+        assert rooted_cliques(neighbourhood_view(g.adj_masks, v), p, v) == rooted
+        got.extend(rooted)
+    assert len(got) == len(set(got))
+    assert set(got) == networkx_cliques(g, p)

@@ -1,8 +1,10 @@
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
+from congestlist import pipeline
 from congestlist.config import SimConfig
 from congestlist.engine import RoundEngine
 from congestlist.graphs import (
@@ -32,6 +34,18 @@ def clique_edges(inst):
 
 def oracle_of_edges(n, edges, p):
     return brute_force_list_kp(Graph(n, frozenset(edges)), p)
+
+
+def dumbbell():
+    """Two K_16 joined by a matching between eight nodes of each."""
+    edges = set()
+    for u in range(16):
+        for v in range(u + 1, 16):
+            edges.add((u, v))
+            edges.add((u + 16, v + 16))
+    for i in range(8):
+        edges.add((i, 16 + i))
+    return Graph(32, frozenset(edges))
 
 
 def fresh_driver(g):
@@ -261,14 +275,7 @@ class TestCongestListKp:
         # makes every bridge endpoint bad, so their clique edges get
         # deferred forever and the inner loop must stall and hand the
         # leftover to the terminal broadcast
-        edges = set()
-        for u in range(16):
-            for v in range(u + 1, 16):
-                edges.add((u, v))
-                edges.add((u + 16, v + 16))
-        for i in range(8):
-            edges.add((i, 16 + i))
-        g = Graph(32, frozenset(edges))
+        g = dumbbell()
         # phi_min above the dumbbell's conductance keeps the bridges getting
         # cut, so the bad-node cliques re-form every inner step
         cfg = SimConfig(light_factor=0.01, phi_min=0.2)
@@ -355,3 +362,129 @@ class TestReportShape:
         assert data["schema"] == 1
         assert data["clique_count"] == len(report.cliques)
         assert data["total_rounds"] == sum(data["rounds_by_phase"].values())
+
+
+# ---------------------------------------------------------------------------
+# the flood: exactly-once listing from each node's own view
+# ---------------------------------------------------------------------------
+
+# bridge endpoints turn bad and the inner loop stalls, so a forced-depth run
+# hands a leftover to the terminal broadcast (see the dumbbell test above)
+STALLING = SimConfig(light_factor=0.01, phi_min=0.2)
+HALF = Fraction(1, 2)
+
+# (graph, p, driver keyword arguments, the flood's phase)
+FLOOD_CASES = {
+    "kp-default": (lambda: gnp(48, 0.3, 7), 4, {"seed": 3}, "terminal-broadcast"),
+    "k4-default": (lambda: gnp(40, 0.35, 3), 4, {"seed": 6}, "terminal-broadcast"),
+    "kp-leftover": (dumbbell, 4, {"seed": 1, "cfg": STALLING, "forced_depth": 1,
+                                  "eps0_fraction": HALF}, "terminal-broadcast"),
+    "k4-leftover": (dumbbell, 4, {"seed": 1, "cfg": STALLING, "forced_depth": 1,
+                                  "eps0_fraction": HALF}, "terminal-broadcast"),
+    "kp-fallback": (lambda: gnp(16, 0.7, 3), 5, {"seed": 2}, "broadcast-fallback"),
+    "k4-fallback": (lambda: gnp(8, 0.8, 1), 4, {"seed": 0}, "broadcast-fallback"),
+}
+
+
+def run_case(name):
+    make, p, kwargs, phase = FLOOD_CASES[name]
+    g = make()
+    if name.startswith("k4"):
+        return g, p, congest_list_k4(g, **kwargs), phase
+    return g, p, congest_list_kp(g, p, **kwargs), phase
+
+
+@pytest.fixture
+def flood_log(monkeypatch):
+    """One record per flood of the run: its phase, the edges it flooded and
+    their orientation at that moment, the (sender, receiver) message counts
+    it charged, and the (node, cliques) of every per-node listing call."""
+    log = []
+    flood, charge, kernel = (pipeline._flood_and_list,
+                             RoundEngine.phase_transfer_counts,
+                             pipeline.rooted_cliques)
+
+    def logged_flood(engine, edges, orient, p, phase):
+        log.append({"phase": phase, "edges": set(edges), "orient": dict(orient),
+                    "counts": None, "listed": []})
+        return flood(engine, edges, orient, p, phase)
+
+    def logged_charge(self, phase, counts, *args, **kwargs):
+        if log and log[-1]["phase"] == phase and log[-1]["counts"] is None:
+            log[-1]["counts"] = dict(counts)
+        return charge(self, phase, counts, *args, **kwargs)
+
+    def logged_kernel(adj, p, v):
+        out = kernel(adj, p, v)
+        log[-1]["listed"].append((v, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "_flood_and_list", logged_flood)
+    monkeypatch.setattr(RoundEngine, "phase_transfer_counts", logged_charge)
+    monkeypatch.setattr(pipeline, "rooted_cliques", logged_kernel)
+    return log
+
+
+def flood_inboxes(flood) -> dict[int, set]:
+    """Every node's edges after the flood: its own incident edges plus the
+    out-edges each neighbour sent it, rebuilt from the charged messages."""
+    out_edges = defaultdict(set)
+    inbox = defaultdict(set)
+    for e in flood["edges"]:
+        out_edges[flood["orient"].get(e, e[0])].add(e)
+        inbox[e[0]].add(e)
+        inbox[e[1]].add(e)
+    expected = {(u, w) for u in out_edges for e in flood["edges"] if u in e
+                for w in e if w != u}
+    assert set(flood["counts"]) == expected
+    for (u, w), sent in flood["counts"].items():
+        assert sent == len(out_edges[u])
+        inbox[w] |= out_edges[u]
+    return inbox
+
+
+class TestFloodListing:
+    @pytest.mark.parametrize("name", sorted(FLOOD_CASES))
+    def test_every_clique_listed_once(self, name, flood_output_sizes, flood_log):
+        g, p, report, phase = run_case(name)
+        oracle = brute_force_list_kp(g, p)
+        assert report.clique_set() == oracle
+        (flood,) = flood_log
+        assert flood["phase"] == phase
+        flooded = brute_force_list_kp(Graph(g.n, frozenset(flood["edges"])), p)
+        assert sum(flood_output_sizes) == len(flooded)
+        if "leftover" in name:
+            # the forced schedule ran and left edges to the terminal flood
+            assert report.schedule and flood["edges"]
+            if name == "kp-leftover":
+                assert 0 < sum(flood_output_sizes) < len(report.cliques)
+        else:
+            # the flood is the run's only lister
+            assert sum(flood_output_sizes) == len(report.cliques) == len(oracle)
+
+    @pytest.mark.parametrize("name", ["kp-default", "k4-default", "kp-fallback",
+                                      "kp-leftover"])
+    def test_lister_holds_every_clique_edge(self, name, flood_log):
+        run_case(name)
+        for flood in flood_log:
+            inbox = flood_inboxes(flood)
+            for v, cliques in flood["listed"]:
+                for c in cliques:
+                    assert c[0] == v == min(c)
+                    assert set(clique_edges(c)) <= inbox[v], (v, c)
+
+    def test_view_holds_under_a_rewritten_orientation(self, flood_log):
+        # the decomposition's S orientation overwrites the degeneracy one on
+        # some flooded edges before the terminal broadcast
+        g = planted(48, 8, 3, 0.05, seed=2)
+        report = congest_list_kp(g, 4, seed=2, cfg=STALLING, forced_depth=2,
+                                 eps0_fraction=HALF)
+        assert report.clique_set() == brute_force_list_kp(g, 4)
+        (flood,) = flood_log
+        initial = degeneracy_orient(g)[0].orientation
+        assert any(flood["orient"][e] != initial[e] for e in flood["edges"])
+        inbox = flood_inboxes(flood)
+        listed = [c for v, cliques in flood["listed"] for c in cliques
+                  if c[0] == v and set(clique_edges(c)) <= inbox[v]]
+        flooded = brute_force_list_kp(Graph(g.n, frozenset(flood["edges"])), 4)
+        assert flooded and sorted(listed) == sorted(flooded)

@@ -20,7 +20,6 @@ from congestlist.sparse_listing import (
     build_fanout_table,
     cc_list_kp,
     check_partition_balance,
-    delivery_fanout,
     fake_edge_target,
     random_partition,
     sample_fake_edges,
@@ -142,15 +141,21 @@ class TestCoverage:
                     assert all(w in table.by_pair[pair] for pair in slot_pairs(ms))
 
 
+def receivers(table, partition, edge) -> set[int]:
+    """The new IDs the fanout table delivers an edge to."""
+    a, b = partition.part_of(edge[0]), partition.part_of(edge[1])
+    return set(table.by_pair.get((min(a, b), max(a, b)), ()))
+
+
 class TestDeliveryFanout:
     def test_single_part_reaches_everyone(self):
         part = random_partition(6, 1, 0)
-        got = delivery_fanout((0, 1), part, 1, 3)
+        got = receivers(build_fanout_table(1, 3, 6), part, (0, 1))
         assert got == set(range(1, 7))
 
     def test_equal_parts_p2(self):
         part = NodePartition(2, (0, 0, 1, 1), seed=0)
-        got = delivery_fanout((0, 1), part, 2, 2, k=4)
+        got = receivers(build_fanout_table(2, 2, 4), part, (0, 1))
         # both digits must equal part 0: only the tuple (0,0), owned by ID 1
         assert got == {1}
 
@@ -159,7 +164,7 @@ class TestDeliveryFanout:
         table = build_fanout_table(3, 4, 81)
         for edge in [(0, 1), (5, 17), (33, 72)]:
             a, b = part.part_of(edge[0]), part.part_of(edge[1])
-            got = delivery_fanout(edge, part, 3, 4, k=81, table=table)
+            got = receivers(table, part, edge)
             assert got == fanout_oracle(min(a, b), max(a, b), 3, 4, 81)
 
     @given(st.integers(1, 4), st.integers(2, 4), st.integers(1, 40),
@@ -172,11 +177,6 @@ class TestDeliveryFanout:
         table = build_fanout_table(b, p, k)
         got = set(table.by_pair.get((min(a, c), max(a, c)), ()))
         assert got == fanout_oracle(min(a, c), max(a, c), b, p, k)
-
-    def test_mismatched_num_parts_rejected(self):
-        part = random_partition(10, 2, 0)
-        with pytest.raises(ValueError):
-            delivery_fanout((0, 1), part, 3, 3)
 
 
 class TestBalanceCheck:
