@@ -19,8 +19,15 @@ from fractions import Fraction
 from .config import SimConfig, apply_factor_overrides, config_from_env
 from .decomposition import DecompositionError, expander_decompose, verify_decomposition
 from .engine import BudgetViolation
-from .graphs import Graph, brute_force_list_kp, gnp, parse_gen_spec, read_edge_list
-from .pipeline import congest_list_k4, congest_list_kp
+from .graphs import (
+    Graph,
+    brute_force_list_kp,
+    clique_fields,
+    gnp,
+    parse_gen_spec,
+    read_edge_list,
+)
+from .pipeline import REPORT_SCHEMA, congest_list_k4, congest_list_kp
 from .sparse_listing import cc_list_kp
 
 EXIT_OK = 0
@@ -170,7 +177,7 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
     forced_depth = settings.get("forced_depth")
 
     def contract_failure(exc: DecompositionError) -> tuple[dict, int]:
-        return {"schema": 1, "mode": mode, "error": str(exc),
+        return {"schema": REPORT_SCHEMA, "mode": mode, "error": str(exc),
                 "config": _config_echo(settings, cfg)}, EXIT_VERIFY_FAILED
 
     if mode == "decompose":
@@ -181,7 +188,7 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
             return contract_failure(exc)
         report = verify_decomposition(g, part, cfg)
         out = {
-            "schema": 1, "mode": mode, "n": g.n, "m": g.m,
+            "schema": REPORT_SCHEMA, "mode": mode, "n": g.n, "m": g.m,
             "partition": part.to_json(),
             "verification": report.to_json(),
             "config": _config_echo(settings, cfg),
@@ -197,22 +204,18 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
         raise ConfigError("--p must be >= 3")
 
     if mode == "verify":
-        cliques = sorted(brute_force_list_kp(g, p))
         out = {
-            "schema": 1, "mode": mode, "n": g.n, "m": g.m, "p": p,
-            "clique_count": len(cliques),
-            "cliques": [list(c) for c in cliques],
+            "schema": REPORT_SCHEMA, "mode": mode, "n": g.n, "m": g.m, "p": p,
+            **clique_fields(sorted(brute_force_list_kp(g, p))),
             "config": _config_echo(settings, cfg),
         }
         return out, EXIT_OK
 
     if mode == "cc":
         cliques, acc = cc_list_kp(g, p, seed, cfg)
-        ordered = sorted(cliques)
         out = {
-            "schema": 1, "mode": mode, "n": g.n, "m": g.m, "p": p, "seed": seed,
-            "clique_count": len(ordered),
-            "cliques": [list(c) for c in ordered],
+            "schema": REPORT_SCHEMA, "mode": mode, "n": g.n, "m": g.m, "p": p, "seed": seed,
+            **clique_fields(sorted(cliques)),
             "accounting": acc.to_json(),
             "rounds_by_phase": dict(acc.rounds_by_phase),
             "total_rounds": acc.total_rounds(),
@@ -249,8 +252,8 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
 
 
 def emit_outputs(out: dict, settings: dict) -> None:
-    text = json.dumps(out, indent=2, sort_keys=True)
     if settings.get("emit"):
+        text = json.dumps(out, indent=2, sort_keys=True)
         with open(settings["emit"], "w") as fh:
             fh.write(text + "\n")
     if settings.get("emit_csv"):

@@ -17,7 +17,6 @@ simulated model is charged, not simulated.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -107,10 +106,6 @@ class EdgePartition:
         ]
         return cls(data["delta"], labels, clusters, s_orientation,
                    dict(data.get("params", {})))
-
-    def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

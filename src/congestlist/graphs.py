@@ -9,15 +9,42 @@ expressed as label maps over the edge set, never by mutating a Graph.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 Edge = tuple[int, int]
 # A listed clique: strictly increasing tuple of p node IDs.
 CliqueInstance = tuple[int, ...]
+
+
+def encode_cliques(cliques: Sequence[CliqueInstance]) -> list[str]:
+    """The report encoding of a clique list: each clique as one string of
+    its node IDs separated by single spaces, in the order given.
+
+    One format string serves the whole list, so every clique must have the
+    size of the first; a clique of another size raises TypeError.
+    """
+    if not cliques:
+        return []
+    fmt = " ".join(["%d"] * len(cliques[0]))
+    return [fmt % c for c in cliques]
+
+
+def decode_cliques(encoded: Iterable[str]) -> list[CliqueInstance]:
+    """The cliques of an encode_cliques list, as tuples in the same order."""
+    return [tuple(map(int, s.split())) for s in encoded]
+
+
+def clique_fields(cliques: Sequence[CliqueInstance]) -> dict:
+    """The clique fields of a report: clique_count, the encoded cliques and
+    clique_digest, the SHA-256 hex of the encoded cliques joined by newlines."""
+    encoded = encode_cliques(cliques)
+    digest = hashlib.sha256("\n".join(encoded).encode()).hexdigest()
+    return {"clique_count": len(encoded), "cliques": encoded, "clique_digest": digest}
 
 
 def norm_edge(u: int, v: int) -> Edge:

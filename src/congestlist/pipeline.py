@@ -37,6 +37,7 @@ from .graphs import (
     CliqueInstance,
     Edge,
     Graph,
+    clique_fields,
     degeneracy_orient,
     iter_bits,
     rooted_cliques,
@@ -337,6 +338,9 @@ def list_round(g: Graph, edges: set[Edge], p: int, d: Exponent, seed: int, *,
 # top-level drivers
 # ---------------------------------------------------------------------------
 
+# the version of every report the CLI emits; cliques are encoded since 2
+REPORT_SCHEMA = 2
+
 
 @dataclass
 class RunReport:
@@ -359,13 +363,12 @@ class RunReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": REPORT_SCHEMA,
             "mode": self.mode,
             "n": self.n,
             "p": self.p,
             "seed": self.seed,
-            "clique_count": len(self.cliques),
-            "cliques": [list(c) for c in self.cliques],
+            **clique_fields(self.cliques),
             "rounds_by_phase": dict(self.rounds_by_phase),
             "total_rounds": self.total_rounds,
             "edge_counts": self.edge_counts,

@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import congestlist
 from congestlist.cli import (
@@ -16,7 +19,13 @@ from congestlist.cli import (
     main,
 )
 from congestlist.config import SimConfig
-from congestlist.graphs import gnp, write_edge_list
+from congestlist.graphs import (
+    brute_force_list_kp,
+    decode_cliques,
+    gnp,
+    parse_gen_spec,
+    write_edge_list,
+)
 
 
 class TestExitCodes:
@@ -133,7 +142,25 @@ class TestEmission:
               "--factor", "fake_density_factor=5", "--emit", str(emit)])
         data = json.loads(emit.read_text())
         assert data["config"]["fake_density_factor"] == 5.0
-        assert data["schema"] == 1
+        assert data["schema"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "cc", "--p", "4", "--seed", "3"],
+        ["--mode", "verify", "--p", "4"],
+        ["--mode", "congest", "--p", "4", "--seed", "2"],
+        ["--mode", "congest-k4", "--seed", "2"],
+    ], ids=lambda argv: argv[1])
+    def test_cliques_round_trip(self, tmp_path, argv):
+        gen = "gnp:40:0.35:3"
+        emit = tmp_path / "r.json"
+        assert main(argv + ["--gen", gen, "--emit", str(emit)]) == EXIT_OK
+        data = json.loads(emit.read_text())
+        expected = sorted(brute_force_list_kp(parse_gen_spec(gen), 4))
+        assert expected
+        assert decode_cliques(data["cliques"]) == expected
+        assert data["clique_count"] == len(expected)
+        digest = hashlib.sha256("\n".join(data["cliques"]).encode()).hexdigest()
+        assert data["clique_digest"] == digest
 
 
 class TestConfigFile:

@@ -1,15 +1,17 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congestlist.graphs import (
     Graph,
     brute_force_list_kp,
     complete,
+    decode_cliques,
     degeneracy_orient,
     edge_subgraph,
+    encode_cliques,
     empty,
     gnp,
     is_clique,
@@ -160,6 +162,32 @@ class TestRootedCliques:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             rooted_cliques(complete(4).adj_masks, 1, 0)
+
+
+def sorted_clique_lists():
+    """Sorted lists of distinct increasing p-tuples, p from 2 to 6, with
+    node IDs up to 2^31."""
+    def of_size(p):
+        clique = st.lists(st.integers(0, 2**31), min_size=p, max_size=p,
+                          unique=True).map(lambda xs: tuple(sorted(xs)))
+        return st.lists(clique, max_size=30, unique=True).map(sorted)
+    return st.integers(2, 6).flatmap(of_size)
+
+
+class TestCliqueEncoding:
+    def test_k4_strings(self):
+        assert encode_cliques([(0, 1, 2, 3), (7, 12, 130, 2**31)]) == [
+            "0 1 2 3", "7 12 130 2147483648"]
+
+    @given(sorted_clique_lists())
+    @example([])
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip(self, cliques):
+        assert decode_cliques(encode_cliques(cliques)) == cliques
+
+    def test_mixed_sizes_raise(self):
+        with pytest.raises(TypeError):
+            encode_cliques([(0, 1, 2), (0, 1, 2, 3)])
 
 
 class TestEdgeSubgraph:

@@ -11,6 +11,7 @@ from congestlist.graphs import (
     Graph,
     brute_force_list_kp,
     complete,
+    decode_cliques,
     degeneracy_orient,
     empty,
     gnp,
@@ -359,8 +360,9 @@ class TestReportShape:
         path = tmp_path / "report.json"
         report.dump(str(path))
         data = json.loads(path.read_text())
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["clique_count"] == len(report.cliques)
+        assert decode_cliques(data["cliques"]) == report.cliques
         assert data["total_rounds"] == sum(data["rounds_by_phase"].values())
 
 
