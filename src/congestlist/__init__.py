@@ -9,7 +9,6 @@ from .graphs import (
     brute_force_list_kp,
     complete,
     degeneracy_orient,
-    edge_subgraph,
     empty,
     gnp,
     planted,
@@ -71,7 +70,6 @@ __all__ = [
     "congest_list_k4",
     "congest_list_kp",
     "degeneracy_orient",
-    "edge_subgraph",
     "empty",
     "expander_decompose",
     "gnp",

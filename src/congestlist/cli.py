@@ -260,7 +260,6 @@ def emit_outputs(out: dict, settings: dict) -> None:
         rounds = out.get("rounds_by_phase") or out.get("accounting", {}).get(
             "rounds_by_phase", {})
         messages = (out.get("accounting", {}).get("messages_by_phase")
-                    or out.get("messages_by_phase")
                     or out.get("notes", {}).get("messages_by_phase") or {})
         with open(settings["emit_csv"], "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -12,7 +12,7 @@ intra-cluster routing is charged per cluster and maxed by the caller.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +22,8 @@ from .decomposition import Cluster
 from .engine import Accounting, BudgetViolation, ClusterChannel, RoundEngine, cluster_route
 from .graphs import CliqueInstance, Edge, Graph, cliques_with_node, norm_edge
 from .graphs import enumerate_cliques  # noqa: F401  (the benchmark trace wraps it)
-from .sparse_listing import build_fanout_table, local_listing
+from .sparse_listing import build_fanout_table  # noqa: F401  (the benchmark trace wraps it)
+from .sparse_listing import list_by_tuples
 
 HEAVY_IMPORT = "heavy-import"
 LIGHT_PROBE = "light-probe"
@@ -85,18 +86,11 @@ class LearnedEdges:
     def edges_of(self, node: int) -> set[Edge]:
         return set(self.by_node.get(node, ()))
 
-    def all_edges(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for edges in self.by_node.values():
-            out.update(edges)
-        return out
-
 
 @dataclass(frozen=True)
 class ResponsibilityMap:
     """Contiguous original-ID ranges of size ceil(n/k), one per new ID."""
     owner: dict[int, int]        # graph node -> responsible cluster node
-    new_ids: dict[int, int]      # cluster node -> new ID in [1..k]
     chunk: int
 
 
@@ -226,7 +220,7 @@ def responsibility_map(cluster: Cluster, new_ids: dict[int, int], n: int) -> Res
     chunk = math.ceil(n / k)
     by_new = {i: u for u, i in new_ids.items()}
     owner = {t: by_new[min(t // chunk, k - 1) + 1] for t in range(n)}
-    return ResponsibilityMap(owner=owner, new_ids=dict(new_ids), chunk=chunk)
+    return ResponsibilityMap(owner=owner, chunk=chunk)
 
 
 def reshuffle(cluster: Cluster, new_ids: dict[int, int],
@@ -281,71 +275,63 @@ def cluster_list_kp(cluster: Cluster, new_ids: dict[int, int],
                     phase: str = "cluster-list",
                     charge_rounds: bool = True,
                     ) -> tuple[set[CliqueInstance], dict[str, int]]:
-    """The sparsity-aware core inside one cluster.
+    """The sparsity-aware listing core inside one cluster.
 
-    Partitions all n graph nodes into ceil(k^(1/p)) random parts (owners
-    choose for the nodes they simulate), assigns part tuples through new-ID
-    radix digits, and routes each owned edge to the nodes whose tuples
-    contain its endpoint parts. The canonical holder of each sorted part
-    multiset then lists the cliques of that multiset from what it learned,
-    so each K_p is listed exactly once, by one cluster node. Output covers
-    every K_p of the cluster's knowledge, in particular every K_p with a
-    goal edge here.
+    The k cluster nodes are the holders of `list_by_tuples`, holder index
+    new ID - 1. All n graph nodes are split into ceil(k^(1/p)) random parts
+    (owners choose for the nodes they simulate and broadcast the choices),
+    and each owned edge is routed to the nodes whose part tuples contain its
+    endpoint parts. The canonical holder of each sorted part multiset then
+    lists the cliques of that multiset from what it learned, so each K_p is
+    listed exactly once, by one cluster node. Output covers every K_p of the
+    cluster's knowledge, in particular every K_p with a goal edge here.
+
+    `owned` must hold each edge at exactly one cluster node, as `reshuffle`
+    leaves it (at the owner of the edge's tail). Then a node's column of
+    the delivery counts, the diagonal included, is the number of distinct
+    edges it learns, which the receive budget is checked against.
     """
     n = g.n
-    k = len(cluster.members)
-    num_parts = max(1, math.ceil(k ** (1.0 / p)))
-    rng_seed = cluster_seed(seed, cluster.id, _PARTITION_TAG)
-    rng = np.random.default_rng(rng_seed)
-    assignment = tuple(int(x) for x in rng.integers(0, num_parts, size=n))
-    table = build_fanout_table(num_parts, p, k)
+    members = sorted(cluster.members)
     by_new = {i: u for u, i in new_ids.items()}
     if channel is None:
         channel = ClusterChannel.for_cluster(cluster.members, n, cluster.delta, cfg)
-    rmap = responsibility_map(cluster, new_ids, n)
+    share = Counter(responsibility_map(cluster, new_ids, n).owner.values())
 
     # Owners broadcast the part choices of the nodes they simulate.
     bc_msgs = []
-    for u in sorted(cluster.members):
-        share = sum(1 for t, o in rmap.owner.items() if o == u)
-        for w in sorted(cluster.members):
+    for u in members:
+        for w in members:
             if w != u:
-                bc_msgs.extend([(u, w, None)] * share)
+                bc_msgs.extend([(u, w, None)] * share[u])
     _, bc_rounds = cluster_route(channel, bc_msgs, accounting=accounting,
                                  phase=f"{phase}/partition-broadcast",
                                  charge_rounds=charge_rounds)
 
-    # Edge delivery to tuple holders.
+    # Edge delivery to tuple holders; what a holder keeps is not routed.
+    cliques, counts, num_parts = list_by_tuples(
+        n, len(members), p, cluster_seed(seed, cluster.id, _PARTITION_TAG),
+        [(new_ids[u] - 1, e) for u in members for e in owned[u]])
     deliver_msgs = []
-    learned: dict[int, set[Edge]] = {u: set() for u in cluster.members}
-    for u in sorted(cluster.members):
-        for e in sorted(owned[u]):
-            pa, pb = assignment[e[0]], assignment[e[1]]
-            pair = (min(pa, pb), max(pa, pb))
-            for w_id in table.by_pair.get(pair, ()):
-                dst = by_new[w_id]
-                if dst == u:
-                    learned[u].add(e)
-                else:
-                    deliver_msgs.append((u, dst, e))
-    delivered, dl_rounds = cluster_route(channel, deliver_msgs,
-                                         accounting=accounting,
-                                         phase=f"{phase}/deliver",
-                                         charge_rounds=charge_rounds)
-    for dst, items in delivered.items():
-        for _, e in items:
-            learned[dst].add(e)
+    for src, dst in zip(*(axis.tolist() for axis in np.nonzero(counts))):
+        if src != dst:
+            deliver_msgs.extend([(by_new[src + 1], by_new[dst + 1], None)]
+                                * int(counts[src, dst]))
+    _, dl_rounds = cluster_route(channel, deliver_msgs,
+                                 accounting=accounting,
+                                 phase=f"{phase}/deliver",
+                                 charge_rounds=charge_rounds)
 
     universe = {e for edges in owned.values() for e in edges}
     budget = (cfg.receive_budget_factor * p * p * max(1, len(universe))
               / (num_parts * num_parts))
     if accounting is not None:
-        for u in sorted(cluster.members):
-            if len(learned[u]) > budget:
+        learned = counts.sum(axis=0).tolist()
+        for u in members:
+            if learned[new_ids[u] - 1] > budget:
                 accounting.record_violation(u, f"{phase}/deliver", budget,
-                                            len(learned[u]), "receive-budget")
+                                            learned[new_ids[u] - 1], "receive-budget")
 
-    cliques = local_listing(table, assignment, lambda w: learned[by_new[w]])
     return cliques, {"partition-broadcast": bc_rounds, "deliver": dl_rounds}
 
 

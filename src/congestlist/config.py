@@ -56,7 +56,6 @@ class SimConfig:
     light_factor: float = 100.0            # bad iff u_light > light_factor * sqrt(n) * log2 n
     learn_factor: float = 8.0              # learn cap: factor * n^(d + 3/4)
     owner_cap_factor: float = 16.0         # owner cap: factor * n^d * ceil(n/k)
-    bad_fraction_limit: float = 1.0 / 25.0
 
     # --- sparsity-aware listing ---
     fake_density_factor: float = 20.0      # pad until m / n^(1/p) = factor * n * log2 n

@@ -28,7 +28,7 @@ from .config import SimConfig, polylog
 from .engine import Accounting
 from .graphs import Edge, Graph, norm_edge
 
-M, S, R, DONE = "M", "S", "R", "DONE"
+M, S, R = "M", "S", "R"
 
 
 class DecompositionError(RuntimeError):
@@ -88,24 +88,6 @@ class EdgePartition:
             "s_orientation": {f"{u},{v}": t for (u, v), t in sorted(self.s_orientation.items())},
             "params": dict(self.params),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EdgePartition":
-        labels = {}
-        for key, lab in data["labels"].items():
-            u, v = key.split(",")
-            labels[norm_edge(int(u), int(v))] = lab
-        s_orientation = {}
-        for key, t in data["s_orientation"].items():
-            u, v = key.split(",")
-            s_orientation[norm_edge(int(u), int(v))] = int(t)
-        clusters = [
-            Cluster(c["id"], frozenset(c["members"]), data["delta"],
-                    c["conductance_estimate"])
-            for c in data["clusters"]
-        ]
-        return cls(data["delta"], labels, clusters, s_orientation,
-                   dict(data.get("params", {})))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +414,7 @@ def verify_decomposition(g: Graph, part: EdgePartition,
 
     universe = set(part.labels)
     foreign = [e for e in universe if e not in g.edges]
-    bad_label = [e for e, lab in part.labels.items() if lab not in (M, S, R, DONE)]
+    bad_label = [e for e, lab in part.labels.items() if lab not in (M, S, R)]
     checks.append(CheckResult(
         "labels-total", not foreign and not bad_label,
         f"{len(foreign)} foreign edges, {len(bad_label)} bad labels"))

@@ -12,7 +12,6 @@ the input graph is node-local data.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -86,10 +85,6 @@ class Accounting:
             "violations": list(self.violations),
             "notes": _jsonable(self.notes),
         }
-
-    def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
 def _jsonable(value):
@@ -261,7 +256,6 @@ class ClusterChannel:
     delta: float
     routing_factor: float
     load_cap: float
-    charged_cost: int = 0
 
     @classmethod
     def for_cluster(cls, members: Iterable[int], n: int, delta: float,
@@ -314,7 +308,6 @@ def cluster_route(channel: ClusterChannel,
         raise BudgetViolation(worst_node, phase, channel.load_cap, max_load,
                               "cluster-route-load")
     rounds = channel.charge_for_load(max_load)
-    channel.charged_cost += rounds
     if accounting is not None:
         for node, c in sends.items():
             accounting.sent[node] += c

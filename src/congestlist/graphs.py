@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -62,6 +62,8 @@ class Graph:
     orientation: Mapping[Edge, int] | None = None
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"node count must be >= 0, got {self.n}")
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
@@ -78,10 +80,6 @@ class Graph:
         if self.orientation is None:
             return e[0]
         return self.orientation.get(e, e[0])
-
-    def head(self, e: Edge) -> int:
-        t = self.tail(e)
-        return e[1] if t == e[0] else e[0]
 
     @cached_property
     def adj_masks(self) -> list[int]:
@@ -333,19 +331,6 @@ def parse_gen_spec(spec: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# subgraphs
-# ---------------------------------------------------------------------------
-
-def edge_subgraph(g: Graph, keep: Callable[[Edge], bool]) -> Graph:
-    """Same node set, edges filtered by predicate, orientation restricted."""
-    edges = frozenset(e for e in g.edges if keep(e))
-    orientation = None
-    if g.orientation is not None:
-        orientation = {e: t for e, t in g.orientation.items() if e in edges}
-    return Graph(g.n, edges, orientation)
-
-
-# ---------------------------------------------------------------------------
 # edge-list I/O: header "n m", one "u v [tail]" line per edge
 # ---------------------------------------------------------------------------
 
@@ -360,14 +345,21 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 
 def read_edge_list(path: str) -> Graph:
-    """Read the edge-list format; a malformed line, a self-loop, a node ID
-    outside 0..n-1, a foreign tail or a repeated edge raises ValueError
-    naming the file and line."""
+    """Read the edge-list format; a malformed header or line, a self-loop, a
+    node ID outside 0..n-1, a foreign tail or a repeated edge raises
+    ValueError naming the file and line."""
     with open(path) as fh:
         header = fh.readline().split()
+        where = f"{path}, line 1"
         if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'n m'")
-        n, m = int(header[0]), int(header[1])
+            raise ValueError(f"{where}: expected header 'n m'")
+        try:
+            n, m = int(header[0]), int(header[1])
+        except ValueError:
+            raise ValueError(f"{where}: header counts must be integers, "
+                             f"got {' '.join(header)!r}") from None
+        if n < 0 or m < 0:
+            raise ValueError(f"{where}: header counts must be >= 0, got {n} {m}")
         edges = set()
         orientation: dict[Edge, int] = {}
         for lineno, line in enumerate(fh, start=2):

@@ -13,7 +13,6 @@ with no floating drift across iterations.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -378,10 +377,6 @@ class RunReport:
             "notes": self.notes,
             "config": self.config,
         }
-
-    def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
 def _flood_and_list(engine: RoundEngine, edges: set[Edge],

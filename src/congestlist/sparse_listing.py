@@ -1,22 +1,25 @@
-"""Sparsity-aware K_p listing over a complete communication graph.
+"""Sparsity-aware K_p listing by tuple delivery, over k holders that talk
+as a complete graph.
 
-The same machinery drives two callers: the standalone congested-clique mode
-(num_parts = ceil(n^(1/p)), every node simulates itself) and the in-cluster
-listing core (num_parts = ceil(k^(1/p)), each of the k cluster nodes
-simulates a range of graph nodes).
+One core, `list_by_tuples`, is written once and drives two callers: the
+standalone congested-clique mode (`cc_list_kp`: k = n, every node is the
+holder of itself) and the in-cluster listing step (`cluster_list_kp` in
+`cluster_pipeline`: k cluster nodes, each simulating a range of graph nodes).
+The callers keep what differs: the partition seed, fake-edge padding, how a
+phase is charged, and the budget policy.
 
-Nodes are split into num_parts random parts. New IDs in [1..k] map to
-p-tuples of parts through the base-num_parts digits of new_id - 1; because
-ceil() makes num_parts^p overshoot k, a node stands in for every tuple index
-congruent to its own modulo k, so all num_parts^p tuples stay covered. An
-edge travels to exactly the nodes whose tuple contains both endpoint parts
-(in two distinct digit positions). Every sorted part multiset has one
-canonical holder, the first holder of the tuple whose digits are that
-multiset in order; it receives every edge among the multiset's parts and
-lists exactly the cliques with one node in each of its slots. Each K_p has
-one part multiset, so it is listed once, by one holder. Sparse inputs are
-padded with tagged fake edges that ride along for load purposes but are
-never listed.
+The core splits the n graph nodes into num_parts = ceil(k^(1/p)) random
+parts. Holder new IDs in [1..k] map to p-tuples of parts through the
+base-num_parts digits of new_id - 1; because ceil() makes num_parts^p
+overshoot k, a holder stands in for every tuple index congruent to its own
+modulo k, so all num_parts^p tuples stay covered. An edge travels to exactly
+the holders whose tuple contains both endpoint parts (in two distinct digit
+positions). Every sorted part multiset has one canonical holder, the first
+holder of the tuple whose digits are that multiset in order; it receives
+every edge among the multiset's parts and lists exactly the cliques with one
+node in each of its slots. Each K_p has one part multiset, so it is listed
+once, by one holder. Padding edges (the congested clique's tagged fake
+edges) add delivery load but are never listed.
 """
 
 from __future__ import annotations
@@ -49,11 +52,16 @@ class NodePartition:
         return sizes
 
 
+# the tag that derives the congested clique's node parts from its run seed
+PARTITION_TAG = 0x9A77
+
+
 def random_partition(n: int, num_parts: int, seed: int) -> NodePartition:
-    """Independently uniform part per node, derived from the seed."""
+    """Independently uniform part per node, derived from the seed; the parts
+    that cc_list_kp draws for the same (n, num_parts, seed)."""
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9A77)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, PARTITION_TAG)))
     parts = rng.integers(0, num_parts, size=n)
     return NodePartition(num_parts, tuple(int(x) for x in parts), seed)
 
@@ -266,6 +274,55 @@ def local_listing(table: FanoutTable, assignment: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
+# the listing core: random parts, tuple delivery, canonical listing
+# ---------------------------------------------------------------------------
+
+def list_by_tuples(n: int, k: int, p: int, rng_seed: np.random.SeedSequence,
+                   sent: Sequence[tuple[int, Edge]],
+                   padding: Sequence[tuple[int, Edge]] = (),
+                   ) -> tuple[set[CliqueInstance], np.ndarray, int]:
+    """Run the listing core over k holders and the graph nodes 0..n-1.
+
+    The n nodes get independent uniform parts among num_parts =
+    ceil(k^(1/p)), drawn from `rng_seed`. `sent` and `padding` hold
+    (sender, edge) items, a sender being a holder index in [0, k), that is,
+    its new ID - 1. Each item goes to every holder whose tuple contains both
+    endpoint parts of its edge. Returns (cliques, counts, num_parts):
+    - the cliques that the canonical holders list from the real edges they
+      received, every K_p among those edges exactly once;
+    - the k x k delivery counts, rows the senders and columns the
+      receivers; the diagonal counts the items a holder keeps for itself,
+      and padding items add to the counts only.
+    Nothing is charged here: the callers turn the counts into rounds and
+    budget checks.
+    """
+    num_parts = max(1, math.ceil(k ** (1.0 / p)))
+    part = np.random.default_rng(rng_seed).integers(0, num_parts, size=n)
+    table = build_fanout_table(num_parts, p, k)
+
+    # the part pair of every item, coded lo * num_parts + hi
+    items = [*sent, *padding]
+    senders = np.fromiter((s for s, _ in items), np.int64, len(items))
+    ends = np.array([e for _, e in items], dtype=np.int64).reshape(-1, 2)
+    a, b = part[ends[:, 0]], part[ends[:, 1]]
+    codes = np.minimum(a, b) * num_parts + np.maximum(a, b)
+    # items per (sender, pair), fanned out to the receivers of each pair
+    span = num_parts * num_parts
+    load = np.bincount(senders * span + codes, minlength=k * span).reshape(k, span)
+    counts = np.zeros((k, k), dtype=np.int64)
+    for (lo, hi), ids in table.by_pair.items():
+        counts[:, np.array(ids) - 1] += load[:, lo * num_parts + hi, None]
+
+    real_by_code: dict[int, list[Edge]] = {}
+    for (_, e), code in zip(sent, codes[:len(sent)].tolist()):
+        real_by_code.setdefault(code, []).append(e)
+    cliques = local_listing(table, part.tolist(), lambda w: (
+        e for lo, hi in table.pairs_by_node[w]
+        for e in real_by_code.get(lo * num_parts + hi, ())))
+    return cliques, counts, num_parts
+
+
+# ---------------------------------------------------------------------------
 # the congested-clique listing algorithm
 # ---------------------------------------------------------------------------
 
@@ -273,12 +330,13 @@ def cc_list_kp(g: Graph, p: int, seed: int,
                cfg: SimConfig | None = None) -> tuple[set[CliqueInstance], Accounting]:
     """List all K_p of g in the congested-clique model.
 
-    Every node owns its outgoing edges, pads the graph with tagged fake
-    edges when too sparse, and ships each edge to the nodes whose part
-    tuples contain the edge's endpoint parts. The canonical holder of each
-    sorted part multiset then lists the cliques of that multiset from the
-    real edges it received, so every K_p is listed exactly once and the
-    disjoint union of the per-node outputs equals the brute-force listing.
+    The listing core with k = n holders, node v being holder v. Every node
+    owns its outgoing edges, the graph is padded with tagged fake edges when
+    too sparse, and each edge is shipped to the nodes whose part tuples
+    contain the edge's endpoint parts. The canonical holder of each sorted
+    part multiset then lists the cliques of that multiset from the real
+    edges it received, so every K_p is listed exactly once and the disjoint
+    union of the per-node outputs equals the brute-force listing.
     """
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p}")
@@ -289,14 +347,11 @@ def cc_list_kp(g: Graph, p: int, seed: int,
     if n == 0:
         return set(), acc
 
-    num_parts = max(1, math.ceil(n ** (1.0 / p)))
-    partition = random_partition(n, num_parts, seed)
-    table = build_fanout_table(num_parts, p, n)
-
     target = fake_edge_target(n, g.m, p, cfg.fake_density_factor)
     fake_edges = sample_fake_edges(g, target - g.m, seed)
+    m_padded = g.m + len(fake_edges)
     acc.notes["m_real"] = g.m
-    acc.notes["m_padded"] = g.m + len(fake_edges)
+    acc.notes["m_padded"] = m_padded
 
     # Phase 1: every node announces its own part to everyone (one round).
     if n > 1:
@@ -309,28 +364,12 @@ def cc_list_kp(g: Graph, p: int, seed: int,
 
     # Phase 2: edge delivery. The owner of each edge's tail queues one
     # message per receiving node; every ordered pair drains its queue at the
-    # bandwidth cap, so the phase costs the max queue length.
-    pair_groups_real: dict[tuple[int, int], list[Edge]] = {}
-    send_matrix = np.zeros((n, n), dtype=np.int64)
-
-    def pair_key(e: Edge) -> tuple[int, int]:
-        a, b = partition.part_of(e[0]), partition.part_of(e[1])
-        return (min(a, b), max(a, b))
-
-    tails_by_pair: dict[tuple[int, int], list[int]] = {}
-    for e in g.sorted_edges:
-        pk = pair_key(e)
-        pair_groups_real.setdefault(pk, []).append(e)
-        tails_by_pair.setdefault(pk, []).append(g.tail(e))
-    for e in fake_edges:
-        tails_by_pair.setdefault(pair_key(e), []).append(e[0])
-
-    for pk, tails in sorted(tails_by_pair.items()):
-        receivers = np.array([w - 1 for w in table.by_pair.get(pk, ())], dtype=np.int64)
-        if receivers.size == 0:
-            continue
-        tail_counts = np.bincount(np.array(tails, dtype=np.int64), minlength=n)
-        send_matrix[:, receivers] += tail_counts[:, None]
+    # bandwidth cap, so the phase costs the max queue length. The core also
+    # runs phase 3, the canonical-owner local listing over the received
+    # real edges (fake edges are tagged and never used).
+    cliques, send_matrix, num_parts = list_by_tuples(
+        n, n, p, np.random.SeedSequence((seed, PARTITION_TAG)),
+        [(g.tail(e), e) for e in g.sorted_edges], [(e[0], e) for e in fake_edges])
     np.fill_diagonal(send_matrix, 0)  # an owner keeps its own tuples' edges
 
     sent_per_node = send_matrix.sum(axis=1)
@@ -344,7 +383,6 @@ def cc_list_kp(g: Graph, p: int, seed: int,
     rounds = int(math.ceil(send_matrix.max() / engine.cap)) if send_matrix.size else 0
     engine.charge("edge-delivery", rounds)
 
-    m_padded = g.m + len(fake_edges)
     budget = cfg.receive_budget_factor * p * p * m_padded / (num_parts * num_parts)
     worst = int(recv_per_node.max()) if n else 0
     acc.notes["edge_delivery"] = {
@@ -358,10 +396,5 @@ def cc_list_kp(g: Graph, p: int, seed: int,
         acc.record_violation(node, "edge-delivery", budget, worst, "receive-budget")
         raise BudgetViolation(node, "edge-delivery", budget, worst, "receive-budget")
 
-    # Phase 3: canonical-owner local listing over received real edges (fake
-    # edges are tagged and never used).
-    cliques = local_listing(
-        table, partition.assignment,
-        lambda w: (e for pk in table.pairs_by_node[w] for e in pair_groups_real.get(pk, ())))
     engine.charge("local-listing", 0)
     return cliques, acc

@@ -25,6 +25,21 @@ def holder_output_sizes(monkeypatch):
 
 
 @pytest.fixture
+def listing_parts(monkeypatch) -> list[list[int]]:
+    """The node parts passed to every local listing call, one entry per
+    call, recorded while the test runs."""
+    parts: list[list[int]] = []
+    original = sparse_listing.local_listing
+
+    def recorded(table, assignment, received):
+        parts.append(list(assignment))
+        return original(table, assignment, received)
+
+    monkeypatch.setattr(sparse_listing, "local_listing", recorded)
+    return parts
+
+
+@pytest.fixture
 def flood_output_sizes(monkeypatch):
     """Sizes of the per-node outputs of the flood's listing, one entry per
     node call, recorded while the test runs."""

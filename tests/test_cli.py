@@ -110,6 +110,24 @@ class TestExitCodes:
             assert data["mode"] == mode and "remainder overflow" in data["error"]
             assert data["config"]["phi_min"] == 0.9
 
+    @pytest.mark.parametrize("mode, extra", [
+        ("cc", ["--p", "3"]), ("congest", ["--p", "4"]), ("congest-k4", []),
+        ("decompose", ["--delta", "0.5"]), ("verify", ["--p", "3"]),
+    ])
+    @pytest.mark.parametrize("source", ["gen", "negative header", "text header"])
+    def test_bad_node_count_is_config_error(self, tmp_path, capsys, mode, extra, source):
+        if source == "gen":
+            graph = ["--gen", "empty:-2"]
+        else:
+            path = tmp_path / "bad.edges"
+            path.write_text("-4 0\n" if source == "negative header" else "a b\n")
+            graph = ["--graph", str(path)]
+        assert main(["--mode", mode, *extra, *graph]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        if source != "gen":
+            assert f"{path}, line 1:" in err
+
     def test_verify_mode_oracle_run(self, capsys):
         assert main(["--mode", "verify", "--p", "4",
                      "--gen", "complete:6"]) == EXIT_OK

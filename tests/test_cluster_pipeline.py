@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from congestlist.cluster_pipeline import (
@@ -24,6 +27,7 @@ from congestlist.graphs import (
     gnp,
     norm_edge,
 )
+from congestlist.sparse_listing import tuple_assign
 
 
 def make_cluster(members, delta=0.5, cid=0):
@@ -114,7 +118,7 @@ class TestImport:
         cluster = make_cluster(range(5))
         cls = classify(cluster, g, 1, 1)
         learned = import_outside_edges(cluster, cls, g, SimConfig(), d_value=1.0)
-        assert learned.all_edges() == set()
+        assert all(learned.count(u) == 0 for u in range(5))
 
     def test_heavy_chunks_split_evenly(self):
         # heavy node 5 with 5 outgoing edges and 5 cluster neighbors
@@ -197,7 +201,7 @@ class TestReshuffle:
         assert rmap.chunk == 7
         for t in range(n):
             expected_idx = min(t // 7, k - 1)
-            assert rmap.new_ids[rmap.owner[t]] == expected_idx + 1
+            assert new_ids[rmap.owner[t]] == expected_idx + 1
 
     def test_multiset_of_owned_equals_known(self):
         g, _ = degeneracy_orient(gnp(24, 0.35, 6))
@@ -264,6 +268,37 @@ class TestClusterListKp:
                          if any(e in goal for e in _clique_edges(inst))}
             missing = must_list - cliques
             assert not missing, (cluster.id, sorted(missing)[:5])
+
+    def test_receive_budget_records_distinct_learned_edges(self, listing_parts):
+        g, _ = degeneracy_orient(gnp(40, 0.4, 2))
+        cluster = make_cluster(range(3, 15))
+        new_ids = assign_cluster_ids([cluster.members], n=g.n)[0]
+        know = knowledge_universe(cluster, g, _empty_learned())
+        _, owned, _ = reshuffle(cluster, new_ids, know, g, SimConfig(), 1.0)
+        acc = Accounting()
+        p = 4
+        cluster_list_kp(cluster, new_ids, owned, p, seed=5,
+                        cfg=SimConfig(receive_budget_factor=0.05), g=g,
+                        accounting=acc)
+        [parts] = listing_parts
+        # brute force: the distinct owned edges whose part pair sits in two
+        # distinct digit positions of a tuple the member stands in for
+        k = len(cluster.members)
+        b = math.ceil(k ** (1.0 / p))
+        universe = set().union(*owned.values())
+        learned = {}
+        for u, w in new_ids.items():
+            pairs = {tuple(sorted(pair))
+                     for t in range(w - 1, b ** p, k)
+                     for pair in itertools.combinations(tuple_assign(t + 1, b, p), 2)}
+            learned[u] = sum(tuple(sorted((parts[x], parts[y]))) in pairs
+                             for x, y in universe)
+        hits = [v for v in acc.violations if v["kind"] == "receive-budget"]
+        assert hits and len(hits) == len(acc.violations)
+        budget = hits[0]["budget"]
+        assert {v["node"] for v in hits} == {u for u, c in learned.items() if c > budget}
+        for v in hits:
+            assert v["actual"] == learned[v["node"]]
 
 
 def _clique_edges(inst):

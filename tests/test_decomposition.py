@@ -1,4 +1,3 @@
-import json
 import math
 import subprocess
 import sys
@@ -327,15 +326,3 @@ def test_listing_runs_never_load_scipy_sparse():
                            + script], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        g = gnp(40, 0.35, 2)
-        part = expander_decompose(g, 0.6)
-        data = json.loads(json.dumps(part.to_json()))
-        back = EdgePartition.from_json(data)
-        assert back.labels == part.labels
-        assert back.s_orientation == part.s_orientation
-        assert [c.members for c in back.clusters] == [c.members for c in part.clusters]
-        assert verify_decomposition(g, back).ok == verify_decomposition(g, part).ok

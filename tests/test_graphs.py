@@ -10,7 +10,6 @@ from congestlist.graphs import (
     complete,
     decode_cliques,
     degeneracy_orient,
-    edge_subgraph,
     encode_cliques,
     empty,
     gnp,
@@ -190,32 +189,6 @@ class TestCliqueEncoding:
             encode_cliques([(0, 1, 2), (0, 1, 2, 3)])
 
 
-class TestEdgeSubgraph:
-    def test_identity(self):
-        g = gnp(24, 0.4, 3)
-        assert edge_subgraph(g, lambda e: True).edges == g.edges
-
-    def test_empty_filter(self):
-        g = gnp(24, 0.4, 3)
-        sub = edge_subgraph(g, lambda e: False)
-        assert sub.m == 0 and sub.n == g.n
-
-    def test_even_tail_filter_on_k4(self):
-        g, _ = degeneracy_orient(complete(4))
-        sub = edge_subgraph(g, lambda e: g.tail(e) % 2 == 0)
-        manual = {e for e in g.edges if g.tail(e) % 2 == 0}
-        assert sub.edges == manual
-
-    @given(small_graphs())
-    @settings(max_examples=40, deadline=None)
-    def test_composition(self, g):
-        pred_p = lambda e: e[0] % 2 == 0
-        pred_q = lambda e: (e[0] + e[1]) % 3 != 0
-        once = edge_subgraph(edge_subgraph(g, pred_p), pred_q)
-        both = edge_subgraph(g, lambda e: pred_p(e) and pred_q(e))
-        assert once.edges == both.edges
-
-
 class TestIO:
     def test_round_trip_without_orientation(self, tmp_path):
         g = gnp(30, 0.3, 11)
@@ -238,6 +211,20 @@ class TestIO:
         with pytest.raises(ValueError):
             read_edge_list(str(path))
 
+    @pytest.mark.parametrize("text, what", [
+        ("3\n0 1\n", "expected header 'n m'"),
+        ("a b\n", "must be integers"),
+        ("-4 0\n", "must be >= 0"),
+        ("4 -1\n", "must be >= 0"),
+    ])
+    def test_bad_header_names_file_and_line(self, tmp_path, text, what):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_edge_list(str(path))
+        assert f"{path}, line 1:" in str(info.value)
+        assert what in str(info.value)
+
     @pytest.mark.parametrize("text, line, what", [
         ("3 3\n0 1\n1 2\n2 1\n", 4, "duplicate edge"),
         ("3 2\n0 1\n\n2 2\n", 4, "self-loop"),
@@ -259,6 +246,14 @@ class TestGraphInvariants:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             norm_edge(3, 3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Graph(-2, frozenset()), lambda: empty(-2), lambda: complete(-3),
+        lambda: gnp(-5, 0.3, 1),
+    ])
+    def test_rejects_negative_node_count(self, make):
+        with pytest.raises(ValueError, match="node count"):
+            make()
 
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from congestlist.sparse_listing import (
     cc_list_kp,
     check_partition_balance,
     fake_edge_target,
+    list_by_tuples,
     random_partition,
     sample_fake_edges,
     tuple_assign,
@@ -177,6 +178,51 @@ class TestDeliveryFanout:
         table = build_fanout_table(b, p, k)
         got = set(table.by_pair.get((min(a, c), max(a, c)), ()))
         assert got == fanout_oracle(min(a, c), max(a, c), b, p, k)
+
+
+def tuple_tally(k, p, b, parts, items):
+    """Reference delivery counts over k <= b^p holders and b parts: item
+    (s, (u, v)) adds one to [s, w - 1] for every holder w standing in for a
+    tuple, read off tuple_assign, that holds the parts of u and v in two
+    distinct digit positions."""
+    pairs_of = [set().union(*(slot_pairs(tuple_assign(t + 1, b, p))
+                              for t in range(w - 1, b ** p, k)))
+                for w in range(1, k + 1)]
+    counts = np.zeros((k, k), dtype=np.int64)
+    for s, (u, v) in items:
+        pair = (min(parts[u], parts[v]), max(parts[u], parts[v]))
+        for w in range(k):
+            counts[s, w] += pair in pairs_of[w]
+    return counts
+
+
+class TestListByTuples:
+    # (n, k, p, seed): k < num_parts^p, and k = num_parts^p; k above
+    # num_parts^p cannot arise, since num_parts = ceil(k^(1/p))
+    CASES = [(30, 5, 3, 1), (40, 8, 3, 2), (24, 16, 4, 3), (36, 12, 3, 4),
+             (20, 1, 3, 5), (48, 20, 4, 6)]
+
+    @pytest.mark.parametrize("n, k, p, seed", CASES)
+    def test_counts_match_tuple_tally(self, n, k, p, seed):
+        g = gnp(n, 0.3, seed)
+        rng = np.random.default_rng(seed)
+        sent = [(int(rng.integers(k)), e) for e in sorted(g.edges)]
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+        padding = [(int(rng.integers(k)), e) for e in absent[::7]]
+        rng_seed = np.random.SeedSequence((seed, 99))
+        cliques, counts, num_parts = list_by_tuples(n, k, p, rng_seed, sent, padding)
+        b = max(1, math.ceil(k ** (1.0 / p)))
+        assert num_parts == b
+        parts = np.random.default_rng(rng_seed).integers(0, b, size=n).tolist()
+        assert (counts == tuple_tally(k, p, b, parts, sent + padding)).all()
+        # padding adds load, never cliques
+        assert cliques == brute_force_list_kp(g, p)
+
+    def test_cc_parts_are_random_partition(self, listing_parts):
+        n, p, seed = 40, 3, 5
+        cc_list_kp(gnp(n, 0.2, 1), p, seed)
+        num_parts = math.ceil(n ** (1.0 / p))
+        assert listing_parts == [list(random_partition(n, num_parts, seed).assignment)]
 
 
 class TestBalanceCheck:
