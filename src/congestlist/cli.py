@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .config import SimConfig, apply_factor_overrides, config_from_env
 from .decomposition import DecompositionError, expander_decompose, verify_decomposition
-from .engine import BudgetViolation
+from .engine import BudgetViolation, ProtocolError
 from .graphs import (
     Graph,
     brute_force_list_kp,
@@ -27,7 +27,7 @@ from .graphs import (
     parse_gen_spec,
     read_edge_list,
 )
-from .pipeline import REPORT_SCHEMA, congest_list_k4, congest_list_kp
+from .pipeline import REPORT_SCHEMA, _config_echo, congest_list_k4, congest_list_kp
 from .sparse_listing import cc_list_kp
 
 EXIT_OK = 0
@@ -140,6 +140,12 @@ def merge_settings(args: argparse.Namespace) -> tuple[dict, SimConfig]:
            and getattr(cfg, f.name) <= 0]
     if bad:
         raise ConfigError(f"factors must be positive: {bad}")
+    # out-of-range schedule settings would silently run another schedule
+    depth, eps0 = settings.get("forced_depth"), settings.get("eps0")
+    if depth is not None and int(depth) < 0:
+        raise ConfigError(f"forced_depth must be >= 0, got {depth}")
+    if eps0 is not None and not 0 < Fraction(eps0) < 1:
+        raise ConfigError(f"eps0 must lie in (0, 1), got {eps0}")
     return settings, cfg
 
 
@@ -157,12 +163,6 @@ def resolve_graph(settings: dict) -> Graph:
 ECHO_KEYS = tuple(k for k in RUN_KEYS if k not in ("emit", "emit_csv"))
 
 
-def _config_echo(settings: dict, cfg: SimConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo.update({k: settings.get(k) for k in ECHO_KEYS})
-    return echo
-
-
 def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
     """Execute one run; returns (report dict, exit code)."""
     mode = settings.get("mode")
@@ -175,10 +175,11 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
     p = settings.get("p")
     eps0 = Fraction(settings["eps0"]) if settings.get("eps0") else None
     forced_depth = settings.get("forced_depth")
+    config = _config_echo(cfg, **{k: settings.get(k) for k in ECHO_KEYS})
 
-    def contract_failure(exc: DecompositionError) -> tuple[dict, int]:
+    def contract_failure(exc: Exception) -> tuple[dict, int]:
         return {"schema": REPORT_SCHEMA, "mode": mode, "error": str(exc),
-                "config": _config_echo(settings, cfg)}, EXIT_VERIFY_FAILED
+                "config": config}, EXIT_VERIFY_FAILED
 
     if mode == "decompose":
         delta = float(settings.get("delta"))
@@ -191,7 +192,7 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
             "schema": REPORT_SCHEMA, "mode": mode, "n": g.n, "m": g.m,
             "partition": part.to_json(),
             "verification": report.to_json(),
-            "config": _config_echo(settings, cfg),
+            "config": config,
         }
         return out, EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
@@ -207,7 +208,7 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
         out = {
             "schema": REPORT_SCHEMA, "mode": mode, "n": g.n, "m": g.m, "p": p,
             **clique_fields(sorted(brute_force_list_kp(g, p))),
-            "config": _config_echo(settings, cfg),
+            "config": config,
         }
         return out, EXIT_OK
 
@@ -219,7 +220,7 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
             "accounting": acc.to_json(),
             "rounds_by_phase": dict(acc.rounds_by_phase),
             "total_rounds": acc.total_rounds(),
-            "config": _config_echo(settings, cfg),
+            "config": config,
         }
         result_set = set(cliques)
     else:
@@ -234,10 +235,9 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
             else:
                 report = congest_list_k4(g, seed, cfg, forced_depth=forced_depth,
                                          eps0_fraction=eps0)
-        except DecompositionError as exc:
+        except (DecompositionError, ProtocolError) as exc:
             return contract_failure(exc)
-        out = report.to_json()
-        out["config"].update({k: settings.get(k) for k in ECHO_KEYS})
+        out = {**report.to_json(), "config": config}
         result_set = report.clique_set()
         if report.violations:
             return out, EXIT_BUDGET_VIOLATION

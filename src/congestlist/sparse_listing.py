@@ -9,8 +9,8 @@ The callers keep what differs: the partition seed, fake-edge padding, how a
 phase is charged, and the budget policy.
 
 The core splits the n graph nodes into num_parts = ceil(k^(1/p)) random
-parts. Holder new IDs in [1..k] map to p-tuples of parts through the
-base-num_parts digits of new_id - 1; because ceil() makes num_parts^p
+parts. Holder i in [0, k) (new ID i + 1) maps to the p-tuple of parts
+given by the base-num_parts digits of i; because ceil() makes num_parts^p
 overshoot k, a holder stands in for every tuple index congruent to its own
 modulo k, so all num_parts^p tuples stay covered. An edge travels to exactly
 the holders whose tuple contains both endpoint parts (in two distinct digit
@@ -80,34 +80,28 @@ def tuple_assign(new_id: int, num_parts: int, p: int) -> tuple[int, ...]:
 
 def tuple_holders(total: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Which of k holders stand in for which of `total` tuple indices, as
-    parallel arrays (tuple index, holder new ID). Tuples are dealt
+    parallel arrays (tuple index, holder index in [0, k)). Tuples are dealt
     round-robin: one holder each when total >= k, and every holder congruent
-    to t + 1 modulo total when total < k. Row t (for t < total) names tuple
-    t's first holder, its canonical one."""
+    to t modulo total when total < k. Row t (for t < total) names tuple t's
+    first holder, its canonical one."""
     row = np.arange(max(total, k))
-    return row % total, row % k + 1
-
-
-def _runs(keys: np.ndarray, values: list) -> dict:
-    """{key: tuple of its values} for parallel keys and values in which
-    equal keys are adjacent."""
-    cuts = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(values)]
-    firsts = keys[cuts[:-1]].tolist() if values else []
-    return {key: tuple(values[a:b]) for key, a, b in zip(firsts, cuts, cuts[1:])}
+    return row % total, row % k
 
 
 @dataclass(frozen=True)
 class FanoutTable:
-    """Precomputed pair-of-parts -> receiving new IDs map for (b, p, k), and
-    the sorted part multisets each holder lists canonically."""
+    """The tuple delivery of (num_parts, p, k): one (holder index, pair
+    code lo * num_parts + hi) link per pair a holder receives, sorted by
+    holder, then by code; and each sorted part multiset as a row of the
+    (count, p) `multisets`, with its canonical holder in `owner`, sorted
+    stably by owner."""
     num_parts: int
     p: int
     k: int
-    by_pair: dict[tuple[int, int], tuple[int, ...]]
-    # the part pairs each canonical holder (a key of `owned`) receives; the
-    # other holders only relay, so nothing reads theirs
-    pairs_by_node: dict[int, tuple[tuple[int, int], ...]]
-    owned: dict[int, tuple[tuple[int, ...], ...]]
+    link_holder: np.ndarray
+    link_code: np.ndarray
+    owner: np.ndarray
+    multisets: np.ndarray
 
 
 def build_fanout_table(num_parts: int, p: int, k: int) -> FanoutTable:
@@ -115,26 +109,19 @@ def build_fanout_table(num_parts: int, p: int, k: int) -> FanoutTable:
     span = num_parts * num_parts
     tup, holder = tuple_holders(total, k)
     digits = tup[:, None] // num_parts ** np.arange(p) % num_parts
-    # the part pair of every two distinct digit positions, coded lo * b + hi
+    # the part pair of every two distinct digit positions
     first, second = np.triu_indices(p, 1)
     code = (np.minimum(digits[:, first], digits[:, second]) * num_parts
             + np.maximum(digits[:, first], digits[:, second]))
-    # one link per distinct (holder, pair), sorted by holder, then by pair
-    links = np.unique(np.repeat(holder, len(first)) * span + code.ravel())
-    link_holder, link_code = np.divmod(links, span)
-    by_code = np.lexsort((link_holder, link_code))
-    receivers = _runs(link_code[by_code], link_holder[by_code].tolist())
+    # one link per distinct (holder, pair); a sort and an adjacent-difference
+    # mask, since the hash-based np.unique is far slower on these sizes
+    links = np.sort(np.repeat(holder, len(first)) * span + code.ravel())
+    links = links[np.diff(links, prepend=-1) != 0]
     # a tuple whose little-endian digits never decrease is a sorted multiset
     canonical = np.flatnonzero(np.all(np.diff(digits[:total], axis=1) >= 0, axis=1))
     canonical = canonical[np.argsort(holder[canonical], kind="stable")]
-    owner_links = np.isin(link_holder, holder[canonical])
-    lo, hi = np.divmod(link_code[owner_links], num_parts)
-    return FanoutTable(
-        num_parts, p, k,
-        {divmod(c, num_parts): ids for c, ids in receivers.items()},
-        _runs(link_holder[owner_links], list(zip(lo.tolist(), hi.tolist()))),
-        _runs(holder[canonical], [tuple(d) for d in digits[canonical].tolist()]),
-    )
+    return FanoutTable(num_parts, p, k, *np.divmod(links, span),
+                       holder[canonical], digits[canonical])
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +251,15 @@ def local_listing(table: FanoutTable, assignment: Sequence[int],
     for v, part in enumerate(assignment):
         part_masks[part] |= 1 << v
     cliques: set[CliqueInstance] = set()
-    for w, multisets in table.owned.items():
+    # the owner column is sorted, so each canonical holder's rows are one block
+    cuts = np.flatnonzero(np.diff(table.owner)) + 1
+    holders = table.owner[np.r_[0, cuts]].tolist()
+    for w, multisets in zip(holders, np.split(table.multisets, cuts)):
         adj = [0] * n
         for u, v in received(w):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        cliques.update(holder_cliques(adj, part_masks, multisets))
+        cliques.update(holder_cliques(adj, part_masks, multisets.tolist()))
     return cliques
 
 
@@ -300,7 +290,7 @@ def list_by_tuples(n: int, k: int, p: int, rng_seed: np.random.SeedSequence,
     part = np.random.default_rng(rng_seed).integers(0, num_parts, size=n)
     table = build_fanout_table(num_parts, p, k)
 
-    # the part pair of every item, coded lo * num_parts + hi
+    # the part pair of every item, coded as in the table
     items = [*sent, *padding]
     senders = np.fromiter((s for s, _ in items), np.int64, len(items))
     ends = np.array([e for _, e in items], dtype=np.int64).reshape(-1, 2)
@@ -309,16 +299,18 @@ def list_by_tuples(n: int, k: int, p: int, rng_seed: np.random.SeedSequence,
     # items per (sender, pair), fanned out to the receivers of each pair
     span = num_parts * num_parts
     load = np.bincount(senders * span + codes, minlength=k * span).reshape(k, span)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for (lo, hi), ids in table.by_pair.items():
-        counts[:, np.array(ids) - 1] += load[:, lo * num_parts + hi, None]
+    receives = np.zeros((span, k), dtype=np.int64)
+    receives[table.link_code, table.link_holder] = 1
+    counts = load @ receives
 
     real_by_code: dict[int, list[Edge]] = {}
     for (_, e), code in zip(sent, codes[:len(sent)].tolist()):
         real_by_code.setdefault(code, []).append(e)
+    # holder w's codes are link_code[starts[w]:starts[w + 1]]
+    starts = np.searchsorted(table.link_holder, np.arange(k + 1)).tolist()
     cliques = local_listing(table, part.tolist(), lambda w: (
-        e for lo, hi in table.pairs_by_node[w]
-        for e in real_by_code.get(lo * num_parts + hi, ())))
+        e for code in table.link_code[starts[w]:starts[w + 1]].tolist()
+        for e in real_by_code.get(code, ())))
     return cliques, counts, num_parts
 
 

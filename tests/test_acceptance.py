@@ -295,17 +295,23 @@ def test_criterion_6_tuple_coverage():
     for p in range(2, 9):
         b = 1
         while b ** p <= 2 ** 16:
-            total = b ** p
-            expected = list(itertools.combinations_with_replacement(range(b), p))
-            slot_pairs = list(itertools.combinations(range(p), 2))
+            total, span = b ** p, b * b
+            expected = np.array(list(itertools.combinations_with_replacement(range(b), p)))
+            first, second = np.array(list(itertools.combinations(range(p), 2))).T
             for k in {total, max(1, total - 7), total + 5}:
                 table = build_fanout_table(b, p, k)
-                owned = sorted(ms for mss in table.owned.values() for ms in mss)
-                assert owned == expected, (b, p, k)
-                for w, mss in table.owned.items():
-                    held = set(table.pairs_by_node[w])
-                    assert all((ms[i], ms[j]) in held
-                               for ms in mss for i, j in slot_pairs), (b, p, k, w)
+                # one link per (holder, pair), and owners in order: the
+                # per-holder slices and blocks rely on both
+                links = table.link_holder * span + table.link_code
+                assert (np.diff(links) > 0).all(), (b, p, k)
+                assert (np.diff(table.owner) >= 0).all(), (b, p, k)
+                owned = table.multisets
+                assert np.array_equal(owned[np.lexsort(owned.T[::-1])], expected), (b, p, k)
+                # a multiset's columns never decrease, so slot i <= slot j
+                wanted = (table.owner[:, None] * span
+                          + owned[:, first] * b + owned[:, second]).ravel()
+                at = np.minimum(np.searchsorted(links, wanted), len(links) - 1)
+                assert np.array_equal(links[at], wanted), (b, p, k)
                 checked += 1
             b += 1
     announce(f"6 tuple-coverage ({checked} (num_parts, p, k) combos, 0 gaps)")

@@ -110,6 +110,35 @@ class TestExitCodes:
             assert data["mode"] == mode and "remainder overflow" in data["error"]
             assert data["config"]["phi_min"] == 0.9
 
+    def test_congest_protocol_error_is_a_report(self, tmp_path):
+        # one-word messages cannot carry the cluster routing payloads
+        emit = tmp_path / "r.json"
+        argv = ["--mode", "congest", "--p", "4", "--gen", "planted:64:14:3:0.01:3",
+                "--forced-depth", "2", "--eps0", "1/2", "--factor", "message_words=1",
+                "--factor", "heavy_factor=0.25", "--emit", str(emit)]
+        assert main(argv) == EXIT_VERIFY_FAILED
+        data = json.loads(emit.read_text())
+        assert data["mode"] == "congest" and "exceeds 1 words" in data["error"]
+        assert data["config"]["message_words"] == 1 and data["config"]["eps0"] == "1/2"
+
+    @pytest.mark.parametrize("setting, value", [
+        ("forced_depth", "-1"), ("eps0", "3/2"), ("eps0", "0"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_out_of_range_schedule_is_config_error(self, tmp_path, capsys, setting,
+                                                   value, source):
+        run = ["--mode", "congest", "--p", "4", "--gen", "gnp:32:0.3:1"]
+        if source == "flag":
+            argv = run + ["--" + setting.replace("_", "-"), value]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text("mode = congest\np = 4\ngen = gnp:32:0.3:1\n"
+                                f"{setting} = {value}\n")
+            argv = ["--config", str(cfg_file)]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and setting in err
+
     @pytest.mark.parametrize("mode, extra", [
         ("cc", ["--p", "3"]), ("congest", ["--p", "4"]), ("congest-k4", []),
         ("decompose", ["--delta", "0.5"]), ("verify", ["--p", "3"]),

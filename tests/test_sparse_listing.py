@@ -110,23 +110,15 @@ class TestCoverage:
             links = list(zip(tup.tolist(), holder.tolist()))
             assert len(set(links)) == len(links)
             assert {t for t, _ in links} == set(range(total))
-            assert {w for _, w in links} == set(range(1, k + 1))
+            assert {w for _, w in links} == set(range(k))
             if total >= k:
                 assert len(links) == total   # one holder per tuple
-            # the fanout table routes by exactly these links
-            pairs_by_node = {w: set() for w in range(1, k + 1)}
-            for t, w in links:
-                pairs_by_node[w] |= slot_pairs(tuple_assign(t + 1, b, p))
-            by_pair = {}
-            for w, pairs in pairs_by_node.items():
-                for pair in pairs:
-                    by_pair.setdefault(pair, set()).add(w)
+            # the fanout table routes by exactly these links: one per
+            # distinct (holder, pair code), sorted by holder, then by code
+            want = sorted({(w, lo * b + hi) for t, w in links
+                           for lo, hi in slot_pairs(tuple_assign(t + 1, b, p))})
             table = build_fanout_table(b, p, k)
-            # only canonical holders list, so only they carry pairs_by_node
-            assert set(table.pairs_by_node) == set(table.owned)
-            assert {w: set(ps) for w, ps in table.pairs_by_node.items()} \
-                == {w: pairs_by_node[w] for w in table.owned}
-            assert {pair: set(ws) for pair, ws in table.by_pair.items()} == by_pair
+            assert list(zip(table.link_holder.tolist(), table.link_code.tolist())) == want
 
     def test_every_multiset_covered(self):
         # every sorted p-multiset of parts has exactly one canonical holder,
@@ -134,18 +126,19 @@ class TestCoverage:
         for b, p in [(2, 4), (3, 3), (4, 2), (2, 6)]:
             for k in (max(1, b ** p - 3), b ** p, b ** p + 5):
                 table = build_fanout_table(b, p, k)
-                owned = [(ms, w) for w, mss in table.owned.items() for ms in mss]
+                owned = list(zip(map(tuple, table.multisets.tolist()), table.owner.tolist()))
                 want = sorted(itertools.combinations_with_replacement(range(b), p))
                 assert sorted(ms for ms, _ in owned) == want
+                links = set(zip(table.link_holder.tolist(), table.link_code.tolist()))
                 for ms, w in owned:
-                    assert slot_pairs(ms) <= set(table.pairs_by_node[w])
-                    assert all(w in table.by_pair[pair] for pair in slot_pairs(ms))
+                    assert all((w, lo * b + hi) in links for lo, hi in slot_pairs(ms))
 
 
 def receivers(table, partition, edge) -> set[int]:
     """The new IDs the fanout table delivers an edge to."""
     a, b = partition.part_of(edge[0]), partition.part_of(edge[1])
-    return set(table.by_pair.get((min(a, b), max(a, b)), ()))
+    code = min(a, b) * table.num_parts + max(a, b)
+    return {w + 1 for w in table.link_holder[table.link_code == code].tolist()}
 
 
 class TestDeliveryFanout:
@@ -175,8 +168,7 @@ class TestDeliveryFanout:
         rng = np.random.default_rng(seed)
         a = int(rng.integers(b))
         c = int(rng.integers(b))
-        table = build_fanout_table(b, p, k)
-        got = set(table.by_pair.get((min(a, c), max(a, c)), ()))
+        got = receivers(build_fanout_table(b, p, k), NodePartition(b, (a, c), seed), (0, 1))
         assert got == fanout_oracle(min(a, c), max(a, c), b, p, k)
 
 
