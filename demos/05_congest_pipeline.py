@@ -1,10 +1,11 @@
 """The full CONGEST drivers.
 
-With the default step size the outer schedule needs n beyond 2^30 before
-its first step clears the stop predicate, so at test scale the driver goes
-straight to the terminal broadcast; forced-depth mode runs the decomposition
-/ import / reshuffle / in-cluster listing machinery anyway, with a scaled
-schedule step, and the output stays oracle-exact either way.
+With the default step size the outer schedule first clears its stop
+predicate at n = 2^22 for p = 4 to 6 (2^15 for the K_4 variant), so at test
+scale the driver goes straight to the terminal broadcast; forced-depth mode
+runs the decomposition / import / reshuffle / in-cluster listing machinery
+anyway, with a scaled schedule step, and the output stays oracle-exact
+either way.
 """
 
 from fractions import Fraction

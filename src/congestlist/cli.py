@@ -119,7 +119,9 @@ def merge_settings(args: argparse.Namespace) -> tuple[dict, SimConfig]:
                 factor_overrides[norm] = value
     for key in RUN_KEYS:
         flag = getattr(args, key, None)
-        if flag not in (None, False, []):
+        # 0 is a value (--forced-depth 0); only an unset flag is skipped, and
+        # an unset store_true flag is the identical False
+        if flag is not None and flag is not False and flag != []:
             settings[key] = flag
     for pair in args.factor:
         if "=" not in pair:
@@ -177,16 +179,16 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
     forced_depth = settings.get("forced_depth")
     config = _config_echo(cfg, **{k: settings.get(k) for k in ECHO_KEYS})
 
-    def contract_failure(exc: Exception) -> tuple[dict, int]:
+    def failure(exc: Exception, code: int = EXIT_VERIFY_FAILED) -> tuple[dict, int]:
         return {"schema": REPORT_SCHEMA, "mode": mode, "error": str(exc),
-                "config": config}, EXIT_VERIFY_FAILED
+                "config": config}, code
 
     if mode == "decompose":
         delta = float(settings.get("delta"))
         try:
             part = expander_decompose(g, delta, cfg)
         except DecompositionError as exc:
-            return contract_failure(exc)
+            return failure(exc)
         report = verify_decomposition(g, part, cfg)
         out = {
             "schema": REPORT_SCHEMA, "mode": mode, "n": g.n, "m": g.m,
@@ -213,7 +215,10 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
         return out, EXIT_OK
 
     if mode == "cc":
-        cliques, acc = cc_list_kp(g, p, seed, cfg)
+        try:
+            cliques, acc = cc_list_kp(g, p, seed, cfg)
+        except BudgetViolation as exc:
+            return failure(exc, EXIT_BUDGET_VIOLATION)
         out = {
             "schema": REPORT_SCHEMA, "mode": mode, "n": g.n, "m": g.m, "p": p, "seed": seed,
             **clique_fields(sorted(cliques)),
@@ -236,7 +241,9 @@ def run_mode(settings: dict, cfg: SimConfig) -> tuple[dict, int]:
                 report = congest_list_k4(g, seed, cfg, forced_depth=forced_depth,
                                          eps0_fraction=eps0)
         except (DecompositionError, ProtocolError) as exc:
-            return contract_failure(exc)
+            return failure(exc)
+        except BudgetViolation as exc:
+            return failure(exc, EXIT_BUDGET_VIOLATION)
         out = {**report.to_json(), "config": config}
         result_set = report.clique_set()
         if report.violations:

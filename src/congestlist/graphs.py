@@ -173,25 +173,41 @@ def degeneracy_orient(g: Graph) -> tuple[Graph, OrientationCertificate]:
     return g.with_orientation(orientation), cert
 
 
-def enumerate_cliques(adj: list[int], p: int, n: int | None = None) -> set[CliqueInstance]:
-    """All p-cliques of the graph given as adjacency bitmasks."""
+def enumerate_cliques(adj: Sequence[int], p: int, n: int | None = None) -> set[CliqueInstance]:
+    """All p-cliques (p >= 2) among nodes 0..n-1 of the graph given as
+    adjacency bitmasks, as increasing tuples.
+
+    This is the oracle's own kernel; it shares no code with the listers it
+    checks. Taking the lowest candidate w drops it from the candidates, so
+    cand & adj[w] holds only common neighbours above w and every clique is
+    reached along one increasing path. At depth p - 1 every remaining
+    candidate closes one clique, added without a further call.
+    """
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     n = len(adj) if n is None else n
     out: set[CliqueInstance] = set()
+    add = out.add
+    last = p - 1
 
-    def rec(prefix: list[int], cand: int, depth: int):
-        if depth == p:
-            out.add(tuple(prefix))
+    def rec(prefix: CliqueInstance, cand: int, depth: int):
+        if depth == last:
+            while cand:
+                low = cand & -cand
+                add((*prefix, low.bit_length() - 1))
+                cand ^= low
             return
-        # Prune: not enough candidates left to finish.
-        if cand.bit_count() < p - depth:
-            return
-        for v in iter_bits(cand):
-            prefix.append(v)
-            # only higher-numbered nodes keep the output sorted and unique
-            rec(prefix, cand & adj[v] & ~((1 << (v + 1)) - 1), depth + 1)
-            prefix.pop()
+        # nodes the level below must still find after the one taken here
+        need = last - depth
+        while cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            cand ^= low
+            nxt = cand & adj[w]
+            if nxt.bit_count() >= need:
+                rec((*prefix, w), nxt, depth + 1)
 
-    rec([], (1 << n) - 1, 0)
+    rec((), (1 << n) - 1, 0)
     return out
 
 

@@ -80,6 +80,22 @@ class TestExitCodes:
                      "--factor", "receive_budget_factor=0.0000001"])
         assert code == EXIT_BUDGET_VIOLATION
 
+    @pytest.mark.parametrize("argv, kind", [
+        (["--mode", "cc", "--p", "4", "--gen", "gnp:64:0.3:1",
+          "--factor", "receive_budget_factor=0.01"], "receive-budget"),
+        (["--mode", "congest", "--p", "4", "--gen", "planted:64:8:4:0.05:1",
+          "--forced-depth", "2", "--eps0", "1/2",
+          "--factor", "learn_factor=0.00001"], "learn-cap"),
+    ], ids=["cc", "congest"])
+    def test_raised_budget_violation_is_a_report(self, tmp_path, argv, kind):
+        emit = tmp_path / "r.json"
+        assert main([*argv, "--emit", str(emit)]) == EXIT_BUDGET_VIOLATION
+        data = json.loads(emit.read_text())
+        assert data["schema"] == 2
+        assert kind in data["error"]
+        assert data["config"]["mode"] == argv[1]
+        assert "cliques" not in data
+
     def test_decompose_mode(self, tmp_path):
         emit = tmp_path / "part.json"
         code = main(["--mode", "decompose", "--gen", "gnp:48:0.3:2",
@@ -190,6 +206,13 @@ class TestEmission:
         data = json.loads(emit.read_text())
         assert data["config"]["fake_density_factor"] == 5.0
         assert data["schema"] == 2
+
+    def test_forced_depth_zero_is_echoed(self, tmp_path):
+        # 0 is a set value, not an unset flag
+        emit = tmp_path / "r.json"
+        assert main(["--mode", "congest", "--p", "4", "--gen", "gnp:32:0.3:1",
+                     "--forced-depth", "0", "--emit", str(emit)]) == EXIT_OK
+        assert json.loads(emit.read_text())["config"]["forced_depth"] == 0
 
     @pytest.mark.parametrize("argv", [
         ["--mode", "cc", "--p", "4", "--seed", "3"],

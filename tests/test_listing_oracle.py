@@ -1,6 +1,7 @@
 """networkx as a second, independent oracle: for the slot-restricted
 listing that every canonical holder runs, for the rooted listing that every
-node runs after the CONGEST flood, and for brute_force_list_kp."""
+node runs after the CONGEST flood, and for brute_force_list_kp and its
+kernel enumerate_cliques."""
 
 import itertools
 
@@ -8,17 +9,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from congestlist.graphs import Graph, brute_force_list_kp, iter_bits, rooted_cliques
+import congestlist
+from congestlist import cluster_pipeline, graphs, pipeline, sparse_listing
+from congestlist.graphs import (
+    Graph,
+    brute_force_list_kp,
+    enumerate_cliques,
+    gnp,
+    iter_bits,
+    rooted_cliques,
+)
 from congestlist.sparse_listing import holder_cliques
 
 nx = pytest.importorskip("networkx")
 
 
 @st.composite
-def planted_graphs(draw):
-    """A clique size 2 <= p <= 6 and a graph on at most 12 nodes holding a
-    planted clique of at least min(n, p) nodes."""
-    p = draw(st.integers(2, 6))
+def planted_graphs(draw, max_p=6):
+    """A clique size 2 <= p <= max_p and a graph on at most 12 nodes holding
+    a planted clique of at least min(n, p) nodes."""
+    p = draw(st.integers(2, max_p))
     n = draw(st.integers(0, 12))
     planted = draw(st.sets(st.integers(0, max(0, n - 1)), min_size=min(n, p), max_size=n))
     pairs = list(itertools.combinations(range(n), 2))
@@ -26,6 +36,13 @@ def planted_graphs(draw):
     g = Graph(n, frozenset(e for e, kept in zip(pairs, keep)
                            if kept or set(e) <= planted))
     return g, p
+
+
+@st.composite
+def dense_graphs(draw):
+    """A clique size 2 <= p <= 7 and a G(n, 0.8) on at most 16 nodes."""
+    n = draw(st.integers(0, 16))
+    return gnp(n, 0.8, draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 7))
 
 
 @st.composite
@@ -111,3 +128,42 @@ def test_rooted_listing_matches_networkx(case):
         got.extend(rooted)
     assert len(got) == len(set(got))
     assert set(got) == networkx_cliques(g, p)
+
+
+@given(st.one_of(planted_graphs(max_p=7), dense_graphs()))
+@example((Graph(0, frozenset()), 2))
+@example((gnp(16, 1.0, 0), 7))
+@settings(max_examples=200, deadline=None)
+def test_oracle_matches_networkx(case):
+    g, p = case
+    # the 2-cliques are the edges
+    want = set(g.edges) if p == 2 else networkx_cliques(g, p)
+    assert enumerate_cliques(g.adj_masks, p, g.n) == want
+    if p >= 3:
+        assert brute_force_list_kp(g, p) == want
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_oracle_rejects_p_below_2(p):
+    with pytest.raises(ValueError):
+        enumerate_cliques(gnp(8, 0.5, 1).adj_masks, p)
+
+
+LISTERS = ("rooted_cliques", "holder_cliques", "cliques_with_node")
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the oracle called a lister it checks")
+
+
+@given(planted_graphs(max_p=7).filter(lambda case: case[1] >= 3))
+@settings(max_examples=60, deadline=None)
+def test_oracle_calls_no_lister(case):
+    g, p = case
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (congestlist, graphs, sparse_listing, cluster_pipeline, pipeline):
+            for name in LISTERS:
+                if hasattr(module, name):
+                    mp.setattr(module, name, refuse)
+        got = brute_force_list_kp(g, p)
+    assert got == networkx_cliques(g, p)

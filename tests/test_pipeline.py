@@ -81,6 +81,14 @@ class TestScheduleArithmetic:
         for step in steps:
             assert step.delta.value(2 ** 64) > target
 
+    @pytest.mark.parametrize("p, k4_variant, first", [
+        (4, True, 15), (4, False, 22), (5, False, 22), (6, False, 22), (7, False, 26)])
+    def test_first_step_over_powers_of_two(self, p, k4_variant, first):
+        # over n = 2^k the default schedule is first non-empty at k = first
+        nonempty = [k for k in range(1, first + 1)
+                    if iteration_schedule(2 ** k, p, k4_variant=k4_variant)]
+        assert nonempty == [first]
+
     def test_desk_scale_stops_immediately(self):
         assert iteration_schedule(64, 5) == []
 
