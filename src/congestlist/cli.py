@@ -42,6 +42,14 @@ class ConfigError(Exception):
     pass
 
 
+class BenchInterrupted(Exception):
+    """A bench instance broke a budget; `rows` were finished before it."""
+
+    def __init__(self, rows: list[dict], message: str):
+        super().__init__(message)
+        self.rows = rows
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congestlist",
@@ -280,7 +288,8 @@ def emit_outputs(out: dict, settings: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def bench(sweep: dict, cfg: SimConfig) -> list[dict]:
-    """Run a sweep and report median rounds/load per (n, mode, phase)."""
+    """Run a sweep and report median rounds/load per (n, mode, phase); a
+    budget violation raises `BenchInterrupted` naming the (n, mode, rep)."""
     ns = sweep.get("n", [])
     density = float(sweep.get("density", 0.3))
     reps = int(sweep.get("reps", 1))
@@ -294,18 +303,18 @@ def bench(sweep: dict, cfg: SimConfig) -> list[dict]:
             for rep in range(reps):
                 seed = base_seed + rep
                 g = gnp(int(n), density, seed)
-                if mode == "cc":
-                    _, acc = cc_list_kp(g, p, seed, cfg)
-                    phases = acc.rounds_by_phase
-                    max_load = max(acc.received.values(), default=0)
-                elif mode == "congest":
-                    rep_out = congest_list_kp(g, max(4, p), seed, cfg)
-                    phases = rep_out.rounds_by_phase
-                    max_load = rep_out.notes.get("max_received", 0)
-                else:
-                    rep_out = congest_list_k4(g, seed, cfg)
-                    phases = rep_out.rounds_by_phase
-                    max_load = rep_out.notes.get("max_received", 0)
+                try:
+                    if mode == "cc":
+                        _, acc = cc_list_kp(g, p, seed, cfg)
+                        phases = acc.rounds_by_phase
+                        max_load = max(acc.received.values(), default=0)
+                    else:
+                        rep_out = (congest_list_kp(g, max(4, p), seed, cfg)
+                                   if mode == "congest" else congest_list_k4(g, seed, cfg))
+                        phases = rep_out.rounds_by_phase
+                        max_load = rep_out.notes.get("max_received", 0)
+                except BudgetViolation as exc:
+                    raise BenchInterrupted(rows, f"n={n} mode={mode} rep={rep}: {exc}") from exc
                 for phase, rounds in phases.items():
                     per_phase.setdefault(phase, []).append(
                         (g.m, rounds, max_load))
@@ -344,13 +353,17 @@ def main(argv=None) -> int:
                 raise ConfigError("bench mode needs --sweep FILE")
             with open(settings["sweep"]) as fh:
                 sweep = json.load(fh)
-            rows = bench(sweep, cfg)
+            try:
+                rows, code = bench(sweep, cfg), EXIT_OK
+            except BenchInterrupted as exc:
+                print(f"budget violation: {exc}", file=sys.stderr)
+                rows, code = exc.rows, EXIT_BUDGET_VIOLATION
             if settings.get("emit_csv"):
                 write_bench_csv(rows, settings["emit_csv"])
             else:
                 for row in rows:
                     print(json.dumps(row, sort_keys=True))
-            return EXIT_OK
+            return code
         out, code = run_mode(settings, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

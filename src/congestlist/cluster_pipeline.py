@@ -244,15 +244,11 @@ def reshuffle(cluster: Cluster, new_ids: dict[int, int],
     for u in sorted(cluster.members):
         for e in sorted(knowledge[u]):
             dst = rmap.owner[g.tail(e)]
-            if dst == u:
-                owned[u].add(e)
-            else:
-                messages.append((u, dst, e))
-    delivered, rounds = cluster_route(channel, messages, accounting=accounting,
-                                      phase=phase, charge_rounds=charge_rounds)
-    for dst, items in delivered.items():
-        for _, e in items:
             owned[dst].add(e)
+            if dst != u:
+                messages.append((u, dst, e))
+    rounds = cluster_route(channel, messages, accounting=accounting,
+                           phase=phase, charge_rounds=charge_rounds)
 
     owner_cap = cfg.owner_cap_factor * float(n) ** d_value * rmap.chunk
     if accounting is not None:
@@ -292,45 +288,33 @@ def cluster_list_kp(cluster: Cluster, new_ids: dict[int, int],
     edges it learns, which the receive budget is checked against.
     """
     n = g.n
-    members = sorted(cluster.members)
-    by_new = {i: u for u, i in new_ids.items()}
+    holders = np.array(sorted(cluster.members, key=new_ids.__getitem__))  # by new ID
     if channel is None:
         channel = ClusterChannel.for_cluster(cluster.members, n, cluster.delta, cfg)
-    share = Counter(responsibility_map(cluster, new_ids, n).owner.values())
+    simulated = Counter(responsibility_map(cluster, new_ids, n).owner.values())
+    share = np.array([simulated[u] for u in holders])
 
-    # Owners broadcast the part choices of the nodes they simulate.
-    bc_msgs = []
-    for u in members:
-        for w in members:
-            if w != u:
-                bc_msgs.extend([(u, w, None)] * share[u])
-    _, bc_rounds = cluster_route(channel, bc_msgs, accounting=accounting,
-                                 phase=f"{phase}/partition-broadcast",
-                                 charge_rounds=charge_rounds)
+    # Owners broadcast their nodes' parts: a member hears all n but its own.
+    bc_rounds = channel.route(holders, share * (len(holders) - 1), n - share,
+                              accounting, f"{phase}/partition-broadcast", charge_rounds)
 
     # Edge delivery to tuple holders; what a holder keeps is not routed.
     cliques, counts, num_parts = list_by_tuples(
-        n, len(members), p, cluster_seed(seed, cluster.id, _PARTITION_TAG),
-        [(new_ids[u] - 1, e) for u in members for e in owned[u]])
-    deliver_msgs = []
-    for src, dst in zip(*(axis.tolist() for axis in np.nonzero(counts))):
-        if src != dst:
-            deliver_msgs.extend([(by_new[src + 1], by_new[dst + 1], None)]
-                                * int(counts[src, dst]))
-    _, dl_rounds = cluster_route(channel, deliver_msgs,
-                                 accounting=accounting,
-                                 phase=f"{phase}/deliver",
-                                 charge_rounds=charge_rounds)
+        n, len(holders), p, cluster_seed(seed, cluster.id, _PARTITION_TAG),
+        [(i, e) for i, u in enumerate(holders.tolist()) for e in owned[u]])
+    kept = np.diagonal(counts)
+    learned = counts.sum(axis=0)
+    dl_rounds = channel.route(holders, counts.sum(axis=1) - kept, learned - kept,
+                              accounting, f"{phase}/deliver", charge_rounds)
 
     universe = {e for edges in owned.values() for e in edges}
     budget = (cfg.receive_budget_factor * p * p * max(1, len(universe))
               / (num_parts * num_parts))
     if accounting is not None:
-        learned = counts.sum(axis=0).tolist()
-        for u in members:
-            if learned[new_ids[u] - 1] > budget:
-                accounting.record_violation(u, f"{phase}/deliver", budget,
-                                            learned[new_ids[u] - 1], "receive-budget")
+        for u, got in zip(holders.tolist(), learned.tolist()):
+            if got > budget:
+                accounting.record_violation(u, f"{phase}/deliver", budget, got,
+                                            "receive-budget")
 
     return cliques, {"partition-broadcast": bc_rounds, "deliver": dl_rounds}
 

@@ -6,6 +6,11 @@ number of O(log n)-bit messages per direction per round. Costs for the two
 primitives used as black boxes (intra-cluster routing and cluster ID
 assignment) are charged into the same accounting rather than simulated.
 
+Bulk phases are charged from counts: `RoundEngine.transfer` from (src, dst,
+count) link arrays, `ClusterChannel.route` from per-member sent and received
+totals. `phase_transfer`, `phase_transfer_counts` and `cluster_route` only
+tally messages or a count dict into them.
+
 In clique mode the communication graph is the complete graph on n nodes and
 the input graph is node-local data.
 """
@@ -203,40 +208,39 @@ class RoundEngine:
 
     # -- bulk scheduled transfers -------------------------------------------
 
-    def phase_transfer(self, phase: str, messages: Iterable[tuple]) -> int:
-        """Deliver a batch of (src, dst[, payload]) messages.
-
-        Each directed edge drains its queue at the bandwidth cap, all edges in
-        parallel, so the phase costs max over edges of ceil(queue/cap) rounds.
-        Equivalent to a canonical per-edge round-robin schedule.
-        """
-        counts: Counter = Counter()
-        for msg in messages:
-            src, dst = msg[0], msg[1]
-            if not self.has_link(src, dst):
-                raise ProtocolError(f"phase {phase!r}: {src}->{dst} is not an edge")
-            if len(msg) > 2:
-                self.check_payload(msg[2])
-            counts[(src, dst)] += 1
-        return self.phase_transfer_counts(phase, counts)
-
-    def phase_transfer_counts(self, phase: str, counts: dict[tuple[int, int], int],
-                              validate: bool = True) -> int:
-        rounds = 0
-        total = 0
-        for (src, dst), c in counts.items():
-            if validate and not self.has_link(src, dst):
-                raise ProtocolError(f"phase {phase!r}: {src}->{dst} is not an edge")
-            self.accounting.sent[src] += c
-            self.accounting.received[dst] += c
-            total += c
-            rounds = max(rounds, math.ceil(c / self.cap))
-        self.accounting.count_messages(phase, total)
+    def transfer(self, phase: str, src, dst, count) -> int:
+        """Deliver count[i] messages over each distinct link src[i] -> dst[i].
+        Links drain their queues at the bandwidth cap in parallel, so the
+        phase costs ceil(max count / cap) rounds. Links must be in range, not
+        loops, and graph edges unless in clique mode."""
+        src, dst, count = (np.asarray(a, dtype=np.int64) for a in (src, dst, count))
+        ok = (src >= 0) & (src < self.n) & (dst >= 0) & (dst < self.n) & (src != dst)
+        if not self.clique_mode:
+            ok[ok] = np.fromiter(map(self.graph.has_edge, src[ok].tolist(),
+                                     dst[ok].tolist()), bool, int(ok.sum()))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ProtocolError(f"phase {phase!r}: {src[i]}->{dst[i]} is not an edge")
+        _tally(self.accounting.sent, np.bincount(src, count, self.n))
+        _tally(self.accounting.received, np.bincount(dst, count, self.n))
+        self.accounting.count_messages(phase, int(count.sum()))
+        rounds = -(-int(count.max(initial=0)) // self.cap)
         self.accounting.charge(phase, rounds)
         return rounds
 
-    def charge(self, phase: str, rounds: int) -> None:
-        self.accounting.charge(phase, rounds)
+    def phase_transfer(self, phase: str, messages: Iterable[tuple]) -> int:
+        """Deliver a batch of (src, dst[, payload]) messages; see `transfer`."""
+        counts: Counter = Counter()
+        for msg in messages:
+            if len(msg) > 2:
+                self.check_payload(msg[2])
+            counts[msg[0], msg[1]] += 1
+        return self.phase_transfer_counts(phase, counts)
+
+    def phase_transfer_counts(self, phase: str, counts: dict[tuple[int, int], int]) -> int:
+        """`transfer` of counts[(src, dst)] messages per link."""
+        links = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
+        return self.transfer(phase, links[:, 0], links[:, 1], list(counts.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -273,53 +277,62 @@ class ClusterChannel:
         nd = float(self.n) ** self.delta
         return math.ceil(self.routing_factor * math.ceil(max_load / nd))
 
+    def route(self, nodes, sent, received, accounting: Accounting | None = None,
+              phase: str = "cluster-route", charge_rounds: bool = True) -> int:
+        """Charge routing in which nodes[i] sends sent[i] and receives
+        received[i] messages. The worst load max(sent, received) above
+        load_cap aborts, naming the lowest node ID at that load. Callers
+        coordinating clusters that route in parallel pass charge_rounds=False
+        and charge the max themselves."""
+        nodes, sent, received = (np.asarray(a, dtype=np.int64)
+                                 for a in (nodes, sent, received))
+        load = np.maximum(sent, received)
+        max_load = int(load.max(initial=0))
+        if max_load > self.load_cap:
+            worst = int(nodes[load == max_load].min())
+            if accounting is not None:
+                accounting.record_violation(worst, phase, self.load_cap, max_load,
+                                            "cluster-route-load")
+            raise BudgetViolation(worst, phase, self.load_cap, max_load,
+                                  "cluster-route-load")
+        rounds = self.charge_for_load(max_load)
+        if accounting is not None:
+            _tally(accounting.sent, np.bincount(nodes, sent))
+            _tally(accounting.received, np.bincount(nodes, received))
+            accounting.count_messages(phase, int(sent.sum()))
+            if charge_rounds:
+                accounting.charge(phase, rounds)
+        return rounds
+
 
 def cluster_route(channel: ClusterChannel,
                   messages: Sequence[tuple[int, int, Any]],
                   accounting: Accounting | None = None,
                   phase: str = "cluster-route",
-                  charge_rounds: bool = True) -> tuple[dict[int, list], int]:
-    """Deliver (src, dst, payload) messages between cluster members.
-
-    Returns (messages grouped by destination, charged rounds) and charges the
-    rounds into `accounting` if given. Callers coordinating clusters that
-    route in parallel pass charge_rounds=False and charge the max themselves.
-    """
+                  charge_rounds: bool = True) -> int:
+    """Route (src, dst, payload) messages between cluster members; returns
+    the rounds that `ClusterChannel.route` charges for their tallies."""
     sends: Counter = Counter()
     recvs: Counter = Counter()
-    delivered: dict[int, list] = defaultdict(list)
-    for src, dst, payload in messages:
+    for src, dst, _ in messages:
         if src not in channel.members or dst not in channel.members:
             raise ProtocolError(
                 f"cluster_route: {src}->{dst} not within the cluster")
         sends[src] += 1
         recvs[dst] += 1
-        delivered[dst].append((src, payload))
-    max_load = 0
-    worst_node = -1
-    for node in channel.members:
-        load = max(sends.get(node, 0), recvs.get(node, 0))
-        if load > max_load:
-            max_load, worst_node = load, node
-    if max_load > channel.load_cap:
-        if accounting is not None:
-            accounting.record_violation(worst_node, phase, channel.load_cap,
-                                        max_load, "cluster-route-load")
-        raise BudgetViolation(worst_node, phase, channel.load_cap, max_load,
-                              "cluster-route-load")
-    rounds = channel.charge_for_load(max_load)
-    if accounting is not None:
-        for node, c in sends.items():
-            accounting.sent[node] += c
-        for node, c in recvs.items():
-            accounting.received[node] += c
-        accounting.count_messages(phase, len(messages))
-        if charge_rounds:
-            accounting.charge(phase, rounds)
-    return dict(delivered), rounds
+    nodes = sorted(sends.keys() | recvs.keys())
+    return channel.route(nodes, [sends[u] for u in nodes], [recvs[u] for u in nodes],
+                         accounting, phase, charge_rounds)
 
 
-def assign_cluster_ids(clusters: Sequence[Iterable[int]] | Iterable[int],
+def _tally(counter: Counter, totals: np.ndarray) -> None:
+    """Add each nonzero totals[node] to counter[node], as Python ints."""
+    hit = np.flatnonzero(totals)
+    for node, c in zip(hit.tolist(), totals[hit].astype(np.int64).tolist()):
+        counter[node] += c
+
+
+def assign_cluster_ids(clusters: Sequence[Iterable[int]],
                        n: int,
                        accounting: Accounting | None = None,
                        phase: str = "assign-ids") -> list[dict[int, int]]:
@@ -329,8 +342,6 @@ def assign_cluster_ids(clusters: Sequence[Iterable[int]] | Iterable[int],
     whole batch.
     """
     batch = list(clusters)
-    if batch and all(isinstance(x, (int, np.integer)) for x in batch):
-        batch = [batch]  # a single cluster was passed directly
     out = []
     for members in batch:
         ordered = sorted(members)

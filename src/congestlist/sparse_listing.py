@@ -347,12 +347,10 @@ def cc_list_kp(g: Graph, p: int, seed: int,
 
     # Phase 1: every node announces its own part to everyone (one round).
     if n > 1:
-        engine.phase_transfer_counts(
-            "partition-broadcast",
-            {(u, v): 1 for u in range(n) for v in range(n) if u != v},
-            validate=False)
+        src, dst = np.nonzero(~np.eye(n, dtype=bool))
+        engine.transfer("partition-broadcast", src, dst, np.ones_like(src))
     else:
-        engine.charge("partition-broadcast", 0)
+        acc.charge("partition-broadcast", 0)
 
     # Phase 2: edge delivery. The owner of each edge's tail queues one
     # message per receiving node; every ordered pair drains its queue at the
@@ -363,20 +361,12 @@ def cc_list_kp(g: Graph, p: int, seed: int,
         n, n, p, np.random.SeedSequence((seed, PARTITION_TAG)),
         [(g.tail(e), e) for e in g.sorted_edges], [(e[0], e) for e in fake_edges])
     np.fill_diagonal(send_matrix, 0)  # an owner keeps its own tuples' edges
-
-    sent_per_node = send_matrix.sum(axis=1)
+    src, dst = np.nonzero(send_matrix)
+    engine.transfer("edge-delivery", src, dst, send_matrix[src, dst])
     recv_per_node = send_matrix.sum(axis=0)
-    for u in range(n):
-        if sent_per_node[u]:
-            acc.sent[u] += int(sent_per_node[u])
-        if recv_per_node[u]:
-            acc.received[u] += int(recv_per_node[u])
-    acc.count_messages("edge-delivery", int(send_matrix.sum()))
-    rounds = int(math.ceil(send_matrix.max() / engine.cap)) if send_matrix.size else 0
-    engine.charge("edge-delivery", rounds)
 
     budget = cfg.receive_budget_factor * p * p * m_padded / (num_parts * num_parts)
-    worst = int(recv_per_node.max()) if n else 0
+    worst = int(recv_per_node.max())
     acc.notes["edge_delivery"] = {
         "max_receive": worst,
         "receive_budget": budget,
@@ -388,5 +378,5 @@ def cc_list_kp(g: Graph, p: int, seed: int,
         acc.record_violation(node, "edge-delivery", budget, worst, "receive-budget")
         raise BudgetViolation(node, "edge-delivery", budget, worst, "receive-budget")
 
-    engine.charge("local-listing", 0)
+    acc.charge("local-listing", 0)
     return cliques, acc

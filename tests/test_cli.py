@@ -19,6 +19,7 @@ from congestlist.cli import (
     main,
 )
 from congestlist.config import SimConfig
+from congestlist.engine import BudgetViolation
 from congestlist.graphs import (
     brute_force_list_kp,
     decode_cliques,
@@ -26,6 +27,7 @@ from congestlist.graphs import (
     parse_gen_spec,
     write_edge_list,
 )
+from congestlist.sparse_listing import cc_list_kp
 
 
 class TestExitCodes:
@@ -289,11 +291,37 @@ class TestBench:
         rows = []
         for q in (0.1, 0.3, 0.6):
             g = gnp(48, q, 3)
-            from congestlist.sparse_listing import cc_list_kp
-
             _, acc = cc_list_kp(g, 3, seed=1, cfg=SimConfig())
             rows.append((g.m, acc.rounds_by_phase["edge-delivery"]))
         ms = [m for m, _ in rows]
         rounds = [r for _, r in rows]
         assert ms == sorted(ms)
         assert rounds == sorted(rounds)
+
+    @pytest.mark.parametrize("emit_csv", [True, False])
+    def test_violation_keeps_finished_rows(self, tmp_path, monkeypatch, capsys, emit_csv):
+        calls = []
+
+        def second_fails(g, p, seed, cfg):
+            calls.append(g.n)
+            if len(calls) == 2:
+                raise BudgetViolation(4, "edge-delivery", 1.0, 2.0, "receive-budget")
+            return cc_list_kp(g, p, seed, cfg)
+
+        monkeypatch.setattr("congestlist.cli.cc_list_kp", second_fails)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"n": [12, 16], "density": 0.5, "reps": 1,
+                                     "modes": ["cc"], "p": 3}))
+        out_csv = tmp_path / "bench.csv"
+        argv = ["--mode", "bench", "--sweep", str(sweep)]
+        assert main(argv + (["--emit-csv", str(out_csv)] if emit_csv else [])) \
+            == EXIT_BUDGET_VIOLATION
+        out, err = capsys.readouterr()
+        assert "n=16 mode=cc rep=0" in err and "receive-budget" in err
+        if emit_csv:
+            header, *rows = list(csv.reader(out_csv.open()))
+            assert header[0] == "n" and rows
+            assert {row[0] for row in rows} == {"12"}
+        else:
+            rows = [json.loads(line) for line in out.splitlines()]
+            assert rows and {r["n"] for r in rows} == {12}

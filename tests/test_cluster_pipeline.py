@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,14 @@ from congestlist.cluster_pipeline import (
 )
 from congestlist.config import SimConfig
 from congestlist.decomposition import Cluster, expander_decompose
-from congestlist.engine import Accounting, BudgetViolation, RoundEngine, assign_cluster_ids
+from congestlist.engine import (
+    Accounting,
+    BudgetViolation,
+    ClusterChannel,
+    RoundEngine,
+    assign_cluster_ids,
+    cluster_route,
+)
 from congestlist.graphs import (
     Graph,
     brute_force_list_kp,
@@ -299,6 +307,39 @@ class TestClusterListKp:
         assert {v["node"] for v in hits} == {u for u, c in learned.items() if c > budget}
         for v in hits:
             assert v["actual"] == learned[v["node"]]
+
+    def test_broadcast_charge_equals_expanded_tuples(self, monkeypatch):
+        # n = 12 over k = 5 members: chunk 3, so the member with new ID 5
+        # simulates no node, sends nothing and hears all 12 choices
+        g, _ = degeneracy_orient(gnp(12, 0.5, 1))
+        cluster = make_cluster(range(2, 7))
+        new_ids = assign_cluster_ids([cluster.members], n=g.n)[0]
+        know = knowledge_universe(cluster, g, _empty_learned())
+        _, owned, _ = reshuffle(cluster, new_ids, know, g, SimConfig(), 1.0)
+        share = Counter(responsibility_map(cluster, new_ids, g.n).owner.values())
+        assert share[6] == 0
+        phase = "cluster-list/partition-broadcast"
+        expected = Accounting()
+        channel = ClusterChannel.for_cluster(cluster.members, g.n, cluster.delta,
+                                             SimConfig())
+        cluster_route(channel, [(u, w, None) for u in cluster.members
+                                for w in cluster.members if w != u
+                                for _ in range(share[u])],
+                      accounting=expected, phase=phase)
+
+        by_phase: dict[str, Accounting] = {}
+        route = ClusterChannel.route
+
+        def recorded(self, nodes, sent, received, accounting=None, phase="", *args):
+            by_phase[phase] = Accounting()
+            route(self, nodes, sent, received, by_phase[phase], phase, *args)
+            return route(self, nodes, sent, received, accounting, phase, *args)
+
+        monkeypatch.setattr(ClusterChannel, "route", recorded)
+        cluster_list_kp(cluster, new_ids, owned, 4, seed=3, cfg=SimConfig(), g=g,
+                        accounting=Accounting())
+        assert by_phase[phase].to_json() == expected.to_json()
+        assert 6 not in expected.sent and expected.received[6] == 12
 
 
 def _clique_edges(inst):

@@ -89,6 +89,25 @@ class TestScheduleArithmetic:
                     if iteration_schedule(2 ** k, p, k4_variant=k4_variant)]
         assert nonempty == [first]
 
+    @pytest.mark.parametrize("p, k4_variant", [
+        (4, True), (4, False), (5, False), (6, False), (7, False), (9, False)])
+    def test_schedule_descends_to_the_abstract_exponent(self, p, k4_variant):
+        # delta_k falls by exactly 1/log2 n per step while n^(d_k) halves,
+        # and the schedule stops on the first delta at or below the
+        # abstract's exponent: p/(p+2) for the K_4 variant and for p >= 6,
+        # 3/4 for the general schedule at p = 4, 5
+        target = p / (p + 2) if k4_variant or p >= 6 else 3 / 4
+        for k in (30, 60, 120, 199, 300):
+            n = 2 ** k
+            steps = iteration_schedule(n, p, k4_variant=k4_variant)
+            if not steps:
+                continue
+            deltas = [s.delta.value(n) for s in steps]
+            assert all(a > b for a, b in zip(deltas, deltas[1:]))
+            for a, b in zip(steps, steps[1:]):
+                assert abs(a.d.n_pow(n) / b.d.n_pow(n) - 2) < 1e-9
+            assert 0 < deltas[-1] - target <= 1 / k
+
     def test_desk_scale_stops_immediately(self):
         assert iteration_schedule(64, 5) == []
 
